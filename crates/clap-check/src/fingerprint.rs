@@ -12,15 +12,19 @@
 use clap_ir::AssertId;
 use clap_vm::{AccessEvent, Lineage, Monitor, SyncEvent, ThreadId};
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// One canonical visible event. Addresses, mutexes and condvars are plain
-/// indices (stable across runs of the same program); threads are lineages.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Event {
+/// indices (stable across runs of the same program); threads are named by
+/// `T`, which is a [`Lineage`] in every public [`Fingerprint`]. (The
+/// monitor records runtime [`ThreadId`]s mid-run and dedups on interned
+/// lineage ids; see [`FingerprintMonitor`].)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Event<T = Lineage> {
     /// A shared load observed `value`.
     Read {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
         /// Flattened address.
         addr: u32,
         /// The value read.
@@ -29,7 +33,7 @@ pub enum Event {
     /// A store became globally visible (SC store, drain, or fence flush).
     Commit {
         /// The thread whose store committed.
-        thread: Lineage,
+        thread: T,
         /// Flattened address.
         addr: u32,
         /// The value written.
@@ -38,49 +42,49 @@ pub enum Event {
     /// Mutex acquired.
     Lock {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
         /// Mutex index.
         mutex: u32,
     },
     /// Mutex released (including the release phase of `wait`).
     Unlock {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
         /// Mutex index.
         mutex: u32,
     },
     /// Thread forked.
     Fork {
         /// The forking thread.
-        thread: Lineage,
+        thread: T,
         /// The new thread.
-        child: Lineage,
+        child: T,
     },
     /// Join completed.
     Join {
         /// The joining thread.
-        thread: Lineage,
+        thread: T,
         /// The joined thread.
-        child: Lineage,
+        child: T,
     },
     /// Cond-wait completed (mutex reacquired).
     Wait {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
         /// Condvar index.
         cond: u32,
     },
     /// Cond signalled.
     Signal {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
         /// Condvar index.
         cond: u32,
     },
     /// Cond broadcast.
     Broadcast {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
         /// Condvar index.
         cond: u32,
     },
@@ -88,21 +92,21 @@ pub enum Event {
     /// closed channel complete too — the drop is itself visible ordering).
     ChanSend {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
         /// Channel index.
         chan: u32,
     },
     /// Channel receive completed.
     ChanRecv {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
         /// Channel index.
         chan: u32,
     },
     /// Non-blocking channel send.
     ChanTrySend {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
         /// Channel index.
         chan: u32,
         /// Whether the value was enqueued.
@@ -111,7 +115,7 @@ pub enum Event {
     /// Non-blocking channel receive.
     ChanTryRecv {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
         /// Channel index.
         chan: u32,
         /// Whether a value was dequeued.
@@ -120,34 +124,34 @@ pub enum Event {
     /// Channel closed.
     ChanClose {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
         /// Channel index.
         chan: u32,
     },
     /// Actor spawned.
     SpawnActor {
         /// The spawning thread.
-        thread: Lineage,
+        thread: T,
         /// The new actor thread.
-        child: Lineage,
+        child: T,
     },
     /// Mailbox append.
     MailboxSend {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
         /// The mailbox owner.
-        target: Lineage,
+        target: T,
     },
     /// Mailbox dequeue completed.
     MailboxRecv {
         /// Executing thread.
-        thread: Lineage,
+        thread: T,
     },
 }
 
-impl Event {
-    /// The lineage of the thread that performed the event.
-    pub fn thread(&self) -> &Lineage {
+impl<T> Event<T> {
+    /// The thread that performed the event.
+    pub fn thread(&self) -> &T {
         match self {
             Event::Read { thread, .. }
             | Event::Commit { thread, .. }
@@ -166,6 +170,91 @@ impl Event {
             | Event::SpawnActor { thread, .. }
             | Event::MailboxSend { thread, .. }
             | Event::MailboxRecv { thread } => thread,
+        }
+    }
+
+    /// The same event with every thread renamed through `name`.
+    fn map_threads<U>(&self, mut name: impl FnMut(&T) -> U) -> Event<U> {
+        match self {
+            Event::Read {
+                thread,
+                addr,
+                value,
+            } => Event::Read {
+                thread: name(thread),
+                addr: *addr,
+                value: *value,
+            },
+            Event::Commit {
+                thread,
+                addr,
+                value,
+            } => Event::Commit {
+                thread: name(thread),
+                addr: *addr,
+                value: *value,
+            },
+            Event::Lock { thread, mutex } => Event::Lock {
+                thread: name(thread),
+                mutex: *mutex,
+            },
+            Event::Unlock { thread, mutex } => Event::Unlock {
+                thread: name(thread),
+                mutex: *mutex,
+            },
+            Event::Fork { thread, child } => Event::Fork {
+                thread: name(thread),
+                child: name(child),
+            },
+            Event::Join { thread, child } => Event::Join {
+                thread: name(thread),
+                child: name(child),
+            },
+            Event::Wait { thread, cond } => Event::Wait {
+                thread: name(thread),
+                cond: *cond,
+            },
+            Event::Signal { thread, cond } => Event::Signal {
+                thread: name(thread),
+                cond: *cond,
+            },
+            Event::Broadcast { thread, cond } => Event::Broadcast {
+                thread: name(thread),
+                cond: *cond,
+            },
+            Event::ChanSend { thread, chan } => Event::ChanSend {
+                thread: name(thread),
+                chan: *chan,
+            },
+            Event::ChanRecv { thread, chan } => Event::ChanRecv {
+                thread: name(thread),
+                chan: *chan,
+            },
+            Event::ChanTrySend { thread, chan, ok } => Event::ChanTrySend {
+                thread: name(thread),
+                chan: *chan,
+                ok: *ok,
+            },
+            Event::ChanTryRecv { thread, chan, ok } => Event::ChanTryRecv {
+                thread: name(thread),
+                chan: *chan,
+                ok: *ok,
+            },
+            Event::ChanClose { thread, chan } => Event::ChanClose {
+                thread: name(thread),
+                chan: *chan,
+            },
+            Event::SpawnActor { thread, child } => Event::SpawnActor {
+                thread: name(thread),
+                child: name(child),
+            },
+            Event::MailboxSend { thread, target } => Event::MailboxSend {
+                thread: name(thread),
+                target: name(target),
+            },
+            Event::MailboxRecv { thread } => Event::MailboxRecv {
+                thread: name(thread),
+            },
         }
     }
 }
@@ -227,19 +316,31 @@ impl Fingerprint {
     }
 }
 
-/// Raw event as captured mid-run (runtime thread ids; canonicalized later).
-#[derive(Debug, Clone)]
-enum RawEvent {
-    Read(ThreadId, u32, i64),
-    Commit(ThreadId, u32, i64),
-    Sync(ThreadId, SyncEvent),
-}
-
 /// A rewind point for DFS backtracking (see [`FingerprintMonitor::mark`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mark {
     events: usize,
     threads: usize,
+}
+
+/// A [`Fingerprint`] with every lineage replaced by its id in one
+/// monitor's intern table: two keys from the same monitor are equal
+/// exactly when the fingerprints they stand for are.
+///
+/// The key carries a hash of its contents, computed once when it is built,
+/// and hashes as that one word: a set of keys then never re-reads the
+/// events when it grows.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct FingerprintKey {
+    events: Vec<Event<u32>>,
+    assert: Option<AssertId>,
+    hash: u64,
+}
+
+impl Hash for FingerprintKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 /// A [`Monitor`] that records the visible-event sequence of a run and
@@ -248,12 +349,21 @@ pub struct Mark {
 /// Designed for enumeration: [`FingerprintMonitor::mark`] /
 /// [`FingerprintMonitor::rewind`] snapshot and restore the recorded prefix
 /// in O(1)/O(suffix), mirroring `Vm::snapshot`/`Vm::restore` during a DFS.
+/// Events name threads by runtime id and are canonicalized only when a
+/// fingerprint is asked for, because a `Fork` event arrives before the
+/// child's [`Monitor::on_thread_start`]. Lineages are interned in a table
+/// that survives rewinds, so a DFS can dedup its failing leaves on compact
+/// [`FingerprintKey`]s and build the public [`Fingerprint`] only for a new
+/// one.
 #[derive(Debug, Default)]
 pub struct FingerprintMonitor {
-    events: Vec<RawEvent>,
-    /// Runtime id → lineage, in announcement order (append-only within a
-    /// path; truncated on rewind).
-    threads: Vec<(ThreadId, Lineage)>,
+    events: Vec<Event<ThreadId>>,
+    /// Runtime id → interned lineage, in announcement order (append-only
+    /// within a path; truncated on rewind).
+    threads: Vec<(ThreadId, u32)>,
+    /// Every lineage announced so far, by intern id (never rewound).
+    lineages: Vec<Lineage>,
+    lineage_ids: HashMap<Lineage, u32>,
 }
 
 impl FingerprintMonitor {
@@ -266,7 +376,21 @@ impl FingerprintMonitor {
     /// the main thread under caller-driven stepping, where `Vm::run`'s
     /// announcement never happens.
     pub fn register_thread(&mut self, thread: ThreadId, lineage: Lineage) {
-        self.threads.push((thread, lineage));
+        self.announce(thread, &lineage);
+    }
+
+    /// Names runtime id `thread` by `lineage` for the rest of the path.
+    fn announce(&mut self, thread: ThreadId, lineage: &Lineage) {
+        let id = match self.lineage_ids.get(lineage) {
+            Some(&id) => id,
+            None => {
+                let id = self.lineages.len() as u32;
+                self.lineages.push(lineage.clone());
+                self.lineage_ids.insert(lineage.clone(), id);
+                id
+            }
+        };
+        self.threads.push((thread, id));
     }
 
     /// The current rewind point.
@@ -295,91 +419,99 @@ impl FingerprintMonitor {
     /// Panics if an event references a thread that was never announced
     /// (a monitor wired past [`FingerprintMonitor::register_thread`]).
     pub fn fingerprint(&self, assert: Option<AssertId>) -> Fingerprint {
-        let map: HashMap<ThreadId, Lineage> = self.threads.iter().cloned().collect();
-        let lin = |t: ThreadId| -> Lineage {
-            map.get(&t)
+        let mut key = FingerprintKey::default();
+        self.key_into(assert, &mut key);
+        self.fingerprint_of(&key)
+    }
+
+    /// Overwrites `key` with the recorded prefix's dedup key.
+    ///
+    /// # Panics
+    ///
+    /// As [`FingerprintMonitor::fingerprint`].
+    pub(crate) fn key_into(&self, assert: Option<AssertId>, key: &mut FingerprintKey) {
+        // A runtime id names the thread announced under it last.
+        let lineage_id = |t: &ThreadId| -> u32 {
+            self.threads
+                .iter()
+                .rev()
+                .find(|(id, _)| id == t)
                 .unwrap_or_else(|| panic!("thread {t} never announced"))
-                .clone()
+                .1
         };
-        let events = self
-            .events
-            .iter()
-            .map(|raw| match raw {
-                RawEvent::Read(t, addr, value) => Event::Read {
-                    thread: lin(*t),
-                    addr: *addr,
-                    value: *value,
-                },
-                RawEvent::Commit(t, addr, value) => Event::Commit {
-                    thread: lin(*t),
-                    addr: *addr,
-                    value: *value,
-                },
-                RawEvent::Sync(t, sync) => {
-                    let thread = lin(*t);
-                    match sync {
-                        SyncEvent::Lock(m) => Event::Lock { thread, mutex: m.0 },
-                        SyncEvent::Unlock(m) => Event::Unlock { thread, mutex: m.0 },
-                        SyncEvent::Fork(child) => Event::Fork {
-                            thread,
-                            child: lin(*child),
-                        },
-                        SyncEvent::Join(child) => Event::Join {
-                            thread,
-                            child: lin(*child),
-                        },
-                        SyncEvent::Wait(c, _) => Event::Wait { thread, cond: c.0 },
-                        SyncEvent::Signal(c) => Event::Signal { thread, cond: c.0 },
-                        SyncEvent::Broadcast(c) => Event::Broadcast { thread, cond: c.0 },
-                        SyncEvent::ChanSend(ch) => Event::ChanSend { thread, chan: ch.0 },
-                        SyncEvent::ChanRecv(ch) => Event::ChanRecv { thread, chan: ch.0 },
-                        SyncEvent::ChanTrySend(ch, ok) => Event::ChanTrySend {
-                            thread,
-                            chan: ch.0,
-                            ok: *ok,
-                        },
-                        SyncEvent::ChanTryRecv(ch, ok) => Event::ChanTryRecv {
-                            thread,
-                            chan: ch.0,
-                            ok: *ok,
-                        },
-                        SyncEvent::ChanClose(ch) => Event::ChanClose { thread, chan: ch.0 },
-                        SyncEvent::SpawnActor(child) => Event::SpawnActor {
-                            thread,
-                            child: lin(*child),
-                        },
-                        SyncEvent::MailboxSend(owner) => Event::MailboxSend {
-                            thread,
-                            target: lin(*owner),
-                        },
-                        SyncEvent::MailboxRecv => Event::MailboxRecv { thread },
-                    }
-                }
-            })
-            .collect();
-        Fingerprint { events, assert }
+        key.events.clear();
+        key.events
+            .extend(self.events.iter().map(|e| e.map_threads(lineage_id)));
+        key.assert = assert;
+        let mut hasher = DefaultHasher::new();
+        key.events.hash(&mut hasher);
+        assert.hash(&mut hasher);
+        key.hash = hasher.finish();
+    }
+
+    /// The [`Fingerprint`] a key of this monitor stands for.
+    pub(crate) fn fingerprint_of(&self, key: &FingerprintKey) -> Fingerprint {
+        Fingerprint {
+            events: key
+                .events
+                .iter()
+                .map(|e| e.map_threads(|&id| self.lineages[id as usize].clone()))
+                .collect(),
+            assert: key.assert,
+        }
     }
 }
 
 impl Monitor for FingerprintMonitor {
     fn on_thread_start(&mut self, thread: ThreadId, lineage: &Lineage, _func: clap_ir::FuncId) {
-        self.threads.push((thread, lineage.clone()));
+        self.announce(thread, lineage);
     }
 
     fn on_access(&mut self, thread: ThreadId, event: &AccessEvent) {
         // Writes are recorded at *commit* time (visibility), not here.
         if !event.is_write {
-            self.events
-                .push(RawEvent::Read(thread, event.addr.0, event.value));
+            self.events.push(Event::Read {
+                thread,
+                addr: event.addr.0,
+                value: event.value,
+            });
         }
     }
 
     fn on_commit(&mut self, thread: ThreadId, addr: clap_vm::Addr, value: i64) {
-        self.events.push(RawEvent::Commit(thread, addr.0, value));
+        self.events.push(Event::Commit {
+            thread,
+            addr: addr.0,
+            value,
+        });
     }
 
     fn on_sync(&mut self, thread: ThreadId, event: &SyncEvent) {
-        self.events.push(RawEvent::Sync(thread, *event));
+        self.events.push(match *event {
+            SyncEvent::Lock(m) => Event::Lock { thread, mutex: m.0 },
+            SyncEvent::Unlock(m) => Event::Unlock { thread, mutex: m.0 },
+            SyncEvent::Fork(child) => Event::Fork { thread, child },
+            SyncEvent::Join(child) => Event::Join { thread, child },
+            SyncEvent::Wait(c, _) => Event::Wait { thread, cond: c.0 },
+            SyncEvent::Signal(c) => Event::Signal { thread, cond: c.0 },
+            SyncEvent::Broadcast(c) => Event::Broadcast { thread, cond: c.0 },
+            SyncEvent::ChanSend(ch) => Event::ChanSend { thread, chan: ch.0 },
+            SyncEvent::ChanRecv(ch) => Event::ChanRecv { thread, chan: ch.0 },
+            SyncEvent::ChanTrySend(ch, ok) => Event::ChanTrySend {
+                thread,
+                chan: ch.0,
+                ok,
+            },
+            SyncEvent::ChanTryRecv(ch, ok) => Event::ChanTryRecv {
+                thread,
+                chan: ch.0,
+                ok,
+            },
+            SyncEvent::ChanClose(ch) => Event::ChanClose { thread, chan: ch.0 },
+            SyncEvent::SpawnActor(child) => Event::SpawnActor { thread, child },
+            SyncEvent::MailboxSend(target) => Event::MailboxSend { thread, target },
+            SyncEvent::MailboxRecv => Event::MailboxRecv { thread },
+        });
     }
 }
 
@@ -407,6 +539,49 @@ mod tests {
                 value: 7
             }]
         );
+    }
+
+    #[test]
+    fn keys_resolve_threads_at_the_leaf_and_survive_rewinds() {
+        let mut mon = FingerprintMonitor::new();
+        mon.register_thread(ThreadId::MAIN, Lineage::main());
+        let start = mon.mark();
+        let child = ThreadId(1);
+        // One path: main forks `child` as `lineage`, which then commits.
+        // The fork event names `child` before its announcement.
+        let leaf = |mon: &mut FingerprintMonitor, lineage: Lineage| {
+            mon.rewind(start);
+            mon.on_sync(ThreadId::MAIN, &SyncEvent::Fork(child));
+            mon.on_thread_start(child, &lineage, clap_ir::FuncId(0));
+            mon.on_commit(child, clap_vm::Addr(0), 1);
+            let mut key = FingerprintKey::default();
+            mon.key_into(None, &mut key);
+            (key, mon.fingerprint(None))
+        };
+        let (key_a, fp_a) = leaf(&mut mon, Lineage::main().child(1));
+        let (key_b, fp_b) = leaf(&mut mon, Lineage::main().child(2));
+        let (key_c, fp_c) = leaf(&mut mon, Lineage::main().child(1));
+        assert_eq!(
+            fp_a.events,
+            vec![
+                Event::Fork {
+                    thread: Lineage::main(),
+                    child: Lineage::main().child(1),
+                },
+                Event::Commit {
+                    thread: Lineage::main().child(1),
+                    addr: 0,
+                    value: 1,
+                },
+            ]
+        );
+        assert_eq!(mon.fingerprint_of(&key_a), fp_a);
+        // The runtime id was reused for another lineage in between, yet
+        // keys still compare exactly as their fingerprints do.
+        assert_ne!(fp_a, fp_b);
+        assert_ne!(key_a, key_b);
+        assert_eq!(fp_a, fp_c);
+        assert_eq!(key_a, key_c);
     }
 
     #[test]

@@ -31,11 +31,11 @@
 //! [`OracleReport::bound_prunes`], so the report can say exactly what its
 //! "no failure" verdict covers.
 
-use crate::fingerprint::{Fingerprint, FingerprintMonitor};
-use clap_ir::{AssertId, Instr, Operand, Program};
+use crate::fingerprint::{Fingerprint, FingerprintKey, FingerprintMonitor};
+use clap_ir::{AssertId, Program};
 use clap_vm::{
-    Action, Backend, Frame, Lineage, MemModel, NullMonitor, Outcome, SapPreviewKind, SharedSpec,
-    Snapshot, StepPreview, ThreadId, Vm,
+    Action, Backend, Lineage, MemModel, NullMonitor, Outcome, SapPreviewKind, SharedSpec, Snapshot,
+    StepPreview, ThreadId, Vm,
 };
 use std::collections::HashSet;
 
@@ -101,12 +101,18 @@ pub struct FailingExecution {
     pub choices: Vec<u32>,
     /// Canonical identity of the execution.
     pub fingerprint: Fingerprint,
-    /// The fingerprint rendered one letter per visible event.
-    pub letters: String,
     /// The assert that fired.
     pub assert: AssertId,
     /// Preemptive context switches the execution used.
     pub preemptions: usize,
+}
+
+impl FailingExecution {
+    /// The fingerprint rendered one letter per visible event (see
+    /// [`Fingerprint::letters`]).
+    pub fn letters(&self) -> String {
+        self.fingerprint.letters()
+    }
 }
 
 /// What an enumeration found.
@@ -150,10 +156,10 @@ impl OracleReport {
     /// The canonical schedule string: the lexicographically smallest
     /// failing letters rendering (stable across enumeration-order
     /// refactors), used by the snapshot tests.
-    pub fn canonical_letters(&self) -> Option<&str> {
+    pub fn canonical_letters(&self) -> Option<String> {
         self.failing
             .iter()
-            .map(|f| f.letters.as_str())
+            .map(FailingExecution::letters)
             .min_by(|a, b| a.len().cmp(&b.len()).then(a.cmp(b)))
     }
 }
@@ -180,16 +186,18 @@ pub fn enumerate_with_shared(
     let mut mon = FingerprintMonitor::new();
     mon.register_thread(ThreadId::MAIN, vm.thread(ThreadId::MAIN).lineage.clone());
     let mut e = Enumerator {
-        program,
         config,
         vm,
         mon,
         choices: Vec::new(),
         seen: HashSet::new(),
+        key: FingerprintKey::default(),
         report: OracleReport::default(),
         stop: false,
+        snapshots: 0,
+        restores: 0,
         pool: Vec::new(),
-        action_pool: Vec::new(),
+        step_pool: Vec::new(),
     };
     e.explore(None, 0, 0);
     let r = &e.report;
@@ -203,39 +211,66 @@ pub fn enumerate_with_shared(
         "check.oracle.atomics",
         program.globals.iter().filter(|g| g.atomic).count() as u64,
     );
+    clap_obs::add("check.oracle.snapshots", e.snapshots);
+    clap_obs::add("check.oracle.restores", e.restores);
     e.report
 }
 
+/// A visible branch point at the current DFS state.
+#[derive(Debug, Clone, Copy)]
+struct Branch {
+    /// Index into the enabled actions.
+    index: usize,
+    /// The thread that acts.
+    thread: ThreadId,
+    /// Taking it never costs a preemption (a failing assert).
+    free: bool,
+    /// Preemptions the run has used once it takes this branch.
+    preemptions: usize,
+}
+
+/// One DFS level's scratch buffers, pooled so that steady-state search
+/// allocates nothing per step.
+#[derive(Debug, Default)]
+struct StepBuffers {
+    actions: Vec<Action>,
+    branches: Vec<Branch>,
+}
+
 struct Enumerator<'p, 'c> {
-    program: &'p Program,
     config: &'c OracleConfig,
     vm: Vm<'p>,
     mon: FingerprintMonitor,
     /// Scheduler decisions taken on the current path (every step, eager
     /// ones included, so the path replays through a `ScriptScheduler`).
     choices: Vec<u32>,
-    seen: HashSet<Fingerprint>,
+    /// Dedup keys of the failing executions reported so far.
+    seen: HashSet<FingerprintKey>,
+    /// Scratch key for the failing leaf at hand.
+    key: FingerprintKey,
     report: OracleReport,
     stop: bool,
-    /// Retired branch snapshots, reused at the next branch of the same
-    /// depth: `Vm::snapshot_into` overwrites a pooled snapshot's buffers
-    /// in place, so steady-state DFS allocates nothing per branch.
+    /// VM snapshots taken (one per fork) and restored (one per fork
+    /// branch after the first), for the `check.oracle.*` counters.
+    snapshots: u64,
+    restores: u64,
+    /// Retired fork snapshots, reused at the next fork: `Vm::snapshot_into`
+    /// overwrites a pooled snapshot's buffers in place.
     pool: Vec<Snapshot>,
-    /// Retired enabled-action buffers, pooled the same way so the
-    /// per-step `Vm::enabled_actions_into` query allocates nothing.
-    action_pool: Vec<Vec<Action>>,
+    /// Retired per-level buffers, pooled the same way.
+    step_pool: Vec<StepBuffers>,
 }
 
 impl Enumerator<'_, '_> {
     fn explore(&mut self, last: Option<ThreadId>, preemptions: usize, path_steps: u64) {
-        let mut actions = self.action_pool.pop().unwrap_or_default();
-        self.explore_with(&mut actions, last, preemptions, path_steps);
-        self.action_pool.push(actions);
+        let mut buffers = self.step_pool.pop().unwrap_or_default();
+        self.explore_with(&mut buffers, last, preemptions, path_steps);
+        self.step_pool.push(buffers);
     }
 
     fn explore_with(
         &mut self,
-        actions: &mut Vec<Action>,
+        buffers: &mut StepBuffers,
         last: Option<ThreadId>,
         preemptions: usize,
         path_steps: u64,
@@ -254,61 +289,68 @@ impl Enumerator<'_, '_> {
                 self.count_leaf();
                 return;
             }
-            self.vm.enabled_actions_into(actions);
-            if actions.is_empty() {
+            self.vm.enabled_actions_into(&mut buffers.actions);
+            if buffers.actions.is_empty() {
                 self.terminal_leaf();
                 return;
             }
-            // Eagerly run one local (commuting) step without branching.
-            if let Some(i) = self.local_action(actions) {
-                self.take(actions, i);
-                steps += 1;
-                continue;
-            }
-            let candidates = self.branch_candidates(actions);
-            if candidates.is_empty() {
+            let i = match self.classify(buffers, last, preemptions) {
+                // Eagerly run one local (commuting) step without branching.
+                Some(i) => i,
                 // Everything would block: execute one blocking step so the
                 // VM parks the thread and the run can reach Deadlock.
-                self.take(actions, 0);
-                steps += 1;
-                continue;
-            }
+                None if buffers.branches.is_empty() => 0,
+                None => {
+                    self.branch(buffers, steps);
+                    return;
+                }
+            };
+            self.take(&buffers.actions, i);
+            steps += 1;
+        }
+    }
+
+    /// Explores every branch point that survives the preemption bound, in
+    /// enabled order. The VM is snapshotted only at a fork, where two or
+    /// more survive: a lone survivor leaves no sibling to restore for.
+    fn branch(&mut self, buffers: &StepBuffers, steps: u64) {
+        let bound = self.config.max_preemptions;
+        let fork = buffers
+            .branches
+            .iter()
+            .filter(|b| b.preemptions <= bound)
+            .nth(1)
+            .is_some();
+        let snap = fork.then(|| {
             let mut snap = self.pool.pop().unwrap_or_default();
             self.vm.snapshot_into(&mut snap);
-            let mark = self.mon.mark();
-            let depth = self.choices.len();
-            // Evaluated at the branch state, before any candidate steps
-            // drift the VM.
-            let prev_active = last.map(|prev| self.still_active(actions, prev));
-            let mut first = true;
-            for (i, preemption_free) in candidates {
-                let t = actions[i].thread();
-                let mut p = preemptions;
-                if !preemption_free {
-                    if let (Some(prev), Some(true)) = (last, prev_active) {
-                        if prev != t {
-                            p += 1;
-                        }
-                    }
-                }
-                if p > self.config.max_preemptions {
-                    self.report.bound_prunes += 1;
-                    continue;
-                }
-                if !first {
-                    self.vm.restore(&snap);
-                    self.mon.rewind(mark);
-                    self.choices.truncate(depth);
-                }
-                first = false;
-                self.take(actions, i);
-                self.explore(Some(t), p, steps + 1);
-                if self.stop {
-                    break;
-                }
+            self.snapshots += 1;
+            snap
+        });
+        let mark = self.mon.mark();
+        let depth = self.choices.len();
+        let mut first = true;
+        for b in &buffers.branches {
+            if b.preemptions > bound {
+                self.report.bound_prunes += 1;
+                continue;
             }
+            if !first {
+                let snap = snap.as_ref().expect("a second survivor means a fork");
+                self.vm.restore(snap);
+                self.restores += 1;
+                self.mon.rewind(mark);
+                self.choices.truncate(depth);
+            }
+            first = false;
+            self.take(&buffers.actions, b.index);
+            self.explore(Some(b.thread), b.preemptions, steps + 1);
+            if self.stop {
+                break;
+            }
+        }
+        if let Some(snap) = snap {
             self.pool.push(snap);
-            return;
         }
     }
 
@@ -317,72 +359,71 @@ impl Enumerator<'_, '_> {
         self.vm.step(actions[i], &mut self.mon);
     }
 
-    /// First action in enabled order whose step commutes with every
-    /// concurrent action (the deterministic eager pick; matches the
-    /// fallback order the replay scheduler uses).
-    fn local_action(&self, actions: &[Action]) -> Option<usize> {
-        for (i, a) in actions.iter().enumerate() {
-            if let Action::Step(t) = *a {
-                match self.vm.preview_step(t) {
+    /// Classifies every enabled action once, previewing each at most once.
+    ///
+    /// Returns the first action in enabled order whose step commutes with
+    /// every concurrent action (the deterministic eager pick; matches the
+    /// fallback order the replay scheduler uses). Otherwise fills
+    /// `branches` with the visible branch points, each priced in
+    /// preemptions, and returns `None`.
+    ///
+    /// A switch away from `last` costs one preemption when `last` could
+    /// still act. A failing assert is a branch (its position among other
+    /// threads' visible events distinguishes failures) but costs no
+    /// preemption budget — the bug firing should never be priced out of
+    /// the bounded space.
+    fn classify(
+        &self,
+        buffers: &mut StepBuffers,
+        last: Option<ThreadId>,
+        preemptions: usize,
+    ) -> Option<usize> {
+        buffers.branches.clear();
+        let mut last_active = false;
+        for (i, &action) in buffers.actions.iter().enumerate() {
+            let thread = action.thread();
+            // `Some(free)` for a branch point, `None` for a held step.
+            let branch = match action {
+                Action::Step(t) => match self.vm.preview_step(t) {
                     StepPreview::Invisible | StepPreview::BufferedStore { .. } => return Some(i),
                     StepPreview::ThreadExit if self.vm.buffered_store_count(t) == 0 => {
                         return Some(i)
                     }
-                    StepPreview::AssertStep if self.assert_passes(t) == Some(true) => {
-                        return Some(i)
-                    }
-                    _ => {}
+                    StepPreview::AssertStep => match self.vm.assert_preview(t) {
+                        Some((_, true)) => return Some(i),
+                        Some((_, false)) => Some(true),
+                        None => None,
+                    },
+                    StepPreview::Sap { .. } => Some(false),
+                    // WouldBlock steps change nothing, and `last` blocked
+                    // makes a switch away from it free.
+                    StepPreview::WouldBlock => continue,
+                    // Exits with a non-empty buffer are held until the
+                    // buffered stores drain (an exit-flush is equivalent
+                    // to draining everything and then exiting, so nothing
+                    // is lost).
+                    StepPreview::ThreadExit => None,
+                },
+                Action::Drain(..) => Some(false),
+            };
+            last_active |= Some(thread) == last;
+            if let Some(free) = branch {
+                buffers.branches.push(Branch {
+                    index: i,
+                    thread,
+                    free,
+                    preemptions,
+                });
+            }
+        }
+        if last_active {
+            for b in &mut buffers.branches {
+                if !b.free && Some(b.thread) != last {
+                    b.preemptions += 1;
                 }
             }
         }
         None
-    }
-
-    /// Visible branch points: `(action index, preemption-free)`. A failing
-    /// assert is a branch (its position among other threads' visible
-    /// events distinguishes failures) but costs no preemption budget — the
-    /// bug firing should never be priced out of the bounded space.
-    fn branch_candidates(&self, actions: &[Action]) -> Vec<(usize, bool)> {
-        let mut out = Vec::new();
-        for (i, a) in actions.iter().enumerate() {
-            match *a {
-                Action::Step(t) => match self.vm.preview_step(t) {
-                    StepPreview::Sap { .. } => out.push((i, false)),
-                    StepPreview::AssertStep if self.assert_passes(t) == Some(false) => {
-                        out.push((i, true))
-                    }
-                    // Exits with a non-empty buffer are held until the
-                    // buffered stores drain (an exit-flush is equivalent
-                    // to draining everything and then exiting, so nothing
-                    // is lost); WouldBlock steps change nothing.
-                    _ => {}
-                },
-                Action::Drain(..) => out.push((i, false)),
-            }
-        }
-        out
-    }
-
-    /// `prev` could still act (a switch away from it is preemptive).
-    fn still_active(&self, actions: &[Action], prev: ThreadId) -> bool {
-        actions.iter().any(|a| match *a {
-            Action::Step(t) if t == prev => {
-                !matches!(self.vm.preview_step(t), StepPreview::WouldBlock)
-            }
-            Action::Drain(t, _) => t == prev,
-            _ => false,
-        })
-    }
-
-    /// Evaluates the assert at `t`'s instruction pointer without stepping
-    /// (asserts read locals only, so the check is side-effect free).
-    fn assert_passes(&self, t: ThreadId) -> Option<bool> {
-        let frame = self.vm.thread(t).frame();
-        let block = self.program.function(frame.func).block(frame.block);
-        match block.instrs.get(frame.ip) {
-            Some(Instr::Assert { cond, .. }) => Some(operand_value(frame, *cond) != 0),
-            _ => None,
-        }
     }
 
     fn count_leaf(&mut self) {
@@ -410,13 +451,13 @@ impl Enumerator<'_, '_> {
     fn outcome_leaf(&mut self, outcome: &Outcome, preemptions: usize) {
         match outcome {
             Outcome::AssertFailed { assert, .. } => {
-                let fingerprint = self.mon.fingerprint(Some(*assert));
-                if self.seen.insert(fingerprint.clone()) {
-                    let letters = fingerprint.letters();
+                self.mon.key_into(Some(*assert), &mut self.key);
+                if !self.seen.contains(&self.key) {
+                    let fingerprint = self.mon.fingerprint_of(&self.key);
+                    self.seen.insert(std::mem::take(&mut self.key));
                     self.report.failing.push(FailingExecution {
                         choices: self.choices.clone(),
                         fingerprint,
-                        letters,
                         assert: *assert,
                         preemptions,
                     });
@@ -431,13 +472,6 @@ impl Enumerator<'_, '_> {
             Outcome::Completed | Outcome::Deadlock | Outcome::StepLimit => {}
         }
         self.count_leaf();
-    }
-}
-
-fn operand_value(frame: &Frame, op: Operand) -> i64 {
-    match op {
-        Operand::Local(l) => frame.locals[l.index()],
-        Operand::Const(c) => c,
     }
 }
 
@@ -646,7 +680,7 @@ mod tests {
         assert_eq!(a.failing.len(), b.failing.len());
         for (x, y) in a.failing.iter().zip(&b.failing) {
             assert_eq!(x.choices, y.choices);
-            assert_eq!(x.letters, y.letters);
+            assert_eq!(x.letters(), y.letters());
         }
     }
 

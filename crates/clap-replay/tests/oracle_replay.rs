@@ -61,11 +61,11 @@ fn replay_oracle_failures(src: &str, model: MemModel, cap: usize) -> usize {
         let mut sched = ScriptScheduler::new(failing.choices.clone());
         let mut rec = PathRecorder::new(&tables);
         let outcome = vm.run(&mut sched, &mut rec);
-        assert!(!sched.overran(), "script fits: {}", failing.letters);
+        assert!(!sched.overran(), "script fits: {}", failing.letters());
         let Outcome::AssertFailed { assert, .. } = outcome else {
             panic!(
                 "script must re-fail, got {outcome:?} for {}",
-                failing.letters
+                failing.letters()
             );
         };
         assert_eq!(assert, failing.assert);
@@ -80,7 +80,7 @@ fn replay_oracle_failures(src: &str, model: MemModel, cap: usize) -> usize {
         assert!(
             matches!(replay_outcome, Some(Outcome::AssertFailed { .. })),
             "schedule_of_choices re-execution diverged for {}",
-            failing.letters
+            failing.letters()
         );
         let schedule = schedule_from_pairs(&trace, &pairs);
 
@@ -94,11 +94,11 @@ fn replay_oracle_failures(src: &str, model: MemModel, cap: usize) -> usize {
             assert,
             &mut NullMonitor,
         )
-        .unwrap_or_else(|e| panic!("replay failed for {}: {e:?}", failing.letters));
+        .unwrap_or_else(|e| panic!("replay failed for {}: {e:?}", failing.letters()));
         assert!(
             report.reproduced,
             "assert must fire for {}",
-            failing.letters
+            failing.letters()
         );
     }
     report.failing.len().min(cap)

@@ -88,7 +88,7 @@ fn corpus_verdicts_match_snapshot() {
             } else {
                 "truncated"
             };
-            let canonical = r.canonical_letters().unwrap_or("-");
+            let canonical = r.canonical_letters().unwrap_or_else(|| "-".into());
             let _ = writeln!(
                 actual,
                 "{name} {model:?} failing={} {status} canonical={canonical}",

@@ -219,7 +219,7 @@ fn oracle_summary(program: &Program, model: MemModel, backend: Backend) -> Strin
             "fail assert={} preemptions={} letters={} choices={:?} fp={:?}\n",
             failing.assert,
             failing.preemptions,
-            failing.letters,
+            failing.letters(),
             failing.choices,
             failing.fingerprint,
         ));
