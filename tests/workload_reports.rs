@@ -14,7 +14,10 @@
 //! CLAP_BLESS=1 cargo test --test workload_reports
 //! ```
 
+mod common;
+
 use clap_check::{enumerate, DiffConfig, OracleConfig, OracleReport};
+use common::Fnv;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
@@ -22,22 +25,6 @@ use std::path::Path;
 const SNAPSHOT: &str = "tests/snapshots/workload_reports.snap";
 
 const STACK_BYTES: usize = 256 << 20;
-
-/// 64-bit FNV-1a over everything fed to it, in order.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
 
 /// Digests the failing runs in report order: each run's decision script,
 /// letters, fingerprint, assert and preemption count.
