@@ -2,6 +2,11 @@
 //! indistinguishable from the sequential one (same selected artifact,
 //! byte for byte), and the early stop must neither hang nor change the
 //! selection even when failures are abundant.
+//!
+//! Every test takes `clap_obs::test_lock()` first: one test asserts exact
+//! values of the process-global telemetry collector, every sweep in the
+//! file feeds that collector, and the test harness runs tests
+//! concurrently.
 
 use clap_core::{ExploreCutover, Pipeline, PipelineConfig, RecordedFailure};
 use clap_vm::MemModel;
@@ -40,6 +45,7 @@ fn assert_identical(sequential: &RecordedFailure, parallel: &RecordedFailure) {
 
 #[test]
 fn parallel_exploration_matches_sequential_sc() {
+    let _l = clap_obs::test_lock();
     let pipeline = Pipeline::from_source(LOST_UPDATE).unwrap();
     let config = PipelineConfig::new(MemModel::Sc);
     let (sequential, parallel) = record_pair(&pipeline, &config, 4);
@@ -48,6 +54,7 @@ fn parallel_exploration_matches_sequential_sc() {
 
 #[test]
 fn small_budgets_cut_over_to_sequential_without_changing_selection() {
+    let _l = clap_obs::test_lock();
     // Under the default adaptive cutover, small budgets run on the caller
     // thread even when a worker pool is requested — the calibration probe
     // sees a sweep too short to amortize pool startup. The selected
@@ -63,6 +70,7 @@ fn small_budgets_cut_over_to_sequential_without_changing_selection() {
 
 #[test]
 fn determinism_pinned_at_fixed_cutover_boundary() {
+    let _l = clap_obs::test_lock();
     // seed_budget ∈ {cutover−1, cutover, cutover+1} with an explicit
     // Fixed(64) policy: budget 63 stays sequential even at 8 workers,
     // 64 and 65 go to the pool. The artifact must be byte-identical on
@@ -79,6 +87,7 @@ fn determinism_pinned_at_fixed_cutover_boundary() {
 
 #[test]
 fn forced_pool_matches_sequential_with_chunked_claiming() {
+    let _l = clap_obs::test_lock();
     // Fixed(0) forces the pool on regardless of host cores or probe
     // estimates, so this exercises the chunked claim + watermark early
     // stop even where the adaptive policy would stay sequential.
@@ -92,6 +101,7 @@ fn forced_pool_matches_sequential_with_chunked_claiming() {
 
 #[test]
 fn pool_threads_spawn_at_most_once_per_sweep() {
+    let _l = clap_obs::test_lock();
     // A correct program: every stickiness level sweeps its full budget,
     // so a pool respawned per level would report spawned = levels ×
     // workers. The persistent pool must report exactly `workers`.
@@ -109,7 +119,6 @@ fn pool_threads_spawn_at_most_once_per_sweep() {
     config.seed_budget = 200;
     config.stickiness = vec![0.9, 0.7, 0.5];
 
-    let _l = clap_obs::test_lock();
     clap_obs::reset();
     clap_obs::enable();
     let result = pipeline.record_failure(&config);
@@ -130,6 +139,7 @@ fn pool_threads_spawn_at_most_once_per_sweep() {
 
 #[test]
 fn parallel_exploration_matches_sequential_tso() {
+    let _l = clap_obs::test_lock();
     // A store-buffering workload: the failing interleavings involve drain
     // actions, a different action mix than the SC test exercises.
     let workload = clap_workloads::by_name("dekker").expect("dekker exists");
@@ -144,6 +154,7 @@ fn parallel_exploration_matches_sequential_tso() {
 
 #[test]
 fn full_reproduce_is_worker_count_invariant() {
+    let _l = clap_obs::test_lock();
     // The end-to-end acceptance shape: identical ReproductionReports at
     // workers=1 and workers=4.
     let pipeline = Pipeline::from_source(LOST_UPDATE).unwrap();
@@ -163,6 +174,7 @@ fn full_reproduce_is_worker_count_invariant() {
 
 #[test]
 fn early_stop_terminates_abundant_failure_sweep() {
+    let _l = clap_obs::test_lock();
     // Every interleaving of this program fails, so without the early stop
     // a million-seed budget would grind through every seed — and a
     // cancellation bug would strand workers forever. The sweep must
