@@ -56,16 +56,14 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
 }
 
-/// Reads one request from `stream`.
+/// Reads one request from `stream`. Callers reading a socket set its
+/// timeouts first (see [`IO_TIMEOUT`]).
 ///
 /// # Errors
 ///
 /// Returns an error for malformed syntax, over-long heads/bodies, or
-/// socket failures.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-
+/// read failures.
+pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
     // Read until the blank line terminating the head.
     let mut head = Vec::new();
     let mut byte = [0u8; 1];

@@ -473,7 +473,11 @@ fn error_body(message: &str) -> String {
 fn handle_conn(shared: &Shared, stream: &mut TcpStream) {
     clap_obs::add("serve.http.requests", 1);
     let start = Instant::now();
-    let request = match http::read_request(stream) {
+    let request = match stream
+        .set_read_timeout(Some(http::IO_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(http::IO_TIMEOUT)))
+        .and_then(|()| http::read_request(stream))
+    {
         Ok(request) => request,
         Err(e) => {
             clap_obs::add("serve.http.errors", 1);
