@@ -1,37 +1,23 @@
-//! Emits `BENCH_vm.jsonl`: tree-walk vs flat-bytecode VM backend on the
-//! two hot loops of the pipeline — seeded schedule sweeps and the
-//! `clap-check` oracle's bounded enumeration — per workload.
+//! Emits `BENCH_vm.jsonl`: the VM on the two hot loops of the pipeline —
+//! seeded schedule sweeps and the `clap-check` oracle's bounded
+//! enumeration — per workload.
 //!
 //! The artifact is the standard `clap-obs` JSONL stream (validate with
 //! the `obsck` binary): one `bench.vm` header event and one
-//! `bench.vm.cell` event per (workload, phase, backend) measurement.
+//! `bench.vm.cell` event per (workload, phase) measurement. `benchdiff`
+//! compares two artifacts cell by cell.
 //!
 //! ```text
-//! bench_vm [output.jsonl] [repeats] [--check]
+//! bench_vm [output.jsonl] [repeats]
 //! ```
-//!
-//! With `--check` the process exits nonzero when any bytecode cell is
-//! slower than its tree-walk baseline beyond the timing-noise margin
-//! (`clap_bench::vm::GATE_NOISE_MARGIN`) — the CI smoke gate.
 
 use clap_bench::vm;
 use clap_obs::Observer;
 
 fn main() {
-    let mut check = false;
-    let mut positional = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check = true;
-        } else {
-            positional.push(arg);
-        }
-    }
-    let mut positional = positional.into_iter();
-    let out_path = positional
-        .next()
-        .unwrap_or_else(|| "BENCH_vm.jsonl".to_owned());
-    let repeats: u32 = positional.next().and_then(|s| s.parse().ok()).unwrap_or(3);
+    let mut args = std::env::args().skip(1);
+    let out_path = args.next().unwrap_or_else(|| "BENCH_vm.jsonl".to_owned());
+    let repeats: u32 = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
 
     let bench = vm::run(repeats);
 
@@ -40,9 +26,4 @@ fn main() {
     vm::emit_events(&bench);
     observer.flush().expect("write benchmark artifact");
     println!("wrote {out_path}");
-
-    if check && !bench.bytecode_never_slower() {
-        eprintln!("FAIL: bytecode backend slower than tree-walk in at least one cell");
-        std::process::exit(1);
-    }
 }

@@ -1,12 +1,12 @@
 //! Decomposes the VM's per-step cost: full run loop vs scheduler choice
-//! vs raw dispatch, per backend. A diagnostic aid for the `bench_vm`
+//! vs raw dispatch. A diagnostic aid for the `bench_vm`
 //! numbers, in the spirit of `dbgdead`/`dbgpar`.
 //!
 //! ```text
 //! dbgvm [workload] [seeds]
 //! ```
 
-use clap_vm::{Backend, FifoScheduler, NullMonitor, RandomScheduler, Vm};
+use clap_vm::{FifoScheduler, NullMonitor, RandomScheduler, Vm};
 use std::time::Instant;
 
 fn main() {
@@ -18,41 +18,39 @@ fn main() {
     let program = workload.program();
     let shared = clap_analysis::analyze(&program).shared_spec();
 
-    for backend in [Backend::Tree, Backend::Bytecode] {
-        let mut vm = Vm::with_backend(&program, workload.model, shared.clone(), backend);
-        vm.set_step_limit(1_000_000);
+    let mut vm = Vm::with_shared(&program, workload.model, shared);
+    vm.set_step_limit(1_000_000);
 
-        // Random scheduler (the bench_vm sweep shape).
-        let t0 = Instant::now();
-        let mut steps = 0u64;
-        for seed in 0..seeds {
-            vm.reset();
-            let mut sched = RandomScheduler::with_stickiness(seed, 0.7);
-            vm.run(&mut sched, &mut NullMonitor);
-            steps += vm.stats().steps;
-        }
-        let random_ns = t0.elapsed().as_nanos() as f64 / steps as f64;
-
-        // Fifo scheduler: same loop minus the RNG draws.
-        let t0 = Instant::now();
-        let mut fifo_steps = 0u64;
-        for _ in 0..seeds {
-            vm.reset();
-            vm.run(&mut FifoScheduler, &mut NullMonitor);
-            fifo_steps += vm.stats().steps;
-        }
-        let fifo_ns = t0.elapsed().as_nanos() as f64 / fifo_steps as f64;
-
-        // Reset cost alone.
-        let t0 = Instant::now();
-        for _ in 0..seeds {
-            vm.reset();
-        }
-        let reset_ns = t0.elapsed().as_nanos() as f64 / seeds as f64;
-
-        println!(
-            "{name} {backend}: random {random_ns:.1} ns/step ({steps} steps) | \
-             fifo {fifo_ns:.1} ns/step ({fifo_steps} steps) | reset {reset_ns:.0} ns/seed"
-        );
+    // Random scheduler (the bench_vm sweep shape).
+    let t0 = Instant::now();
+    let mut steps = 0u64;
+    for seed in 0..seeds {
+        vm.reset();
+        let mut sched = RandomScheduler::with_stickiness(seed, 0.7);
+        vm.run(&mut sched, &mut NullMonitor);
+        steps += vm.stats().steps;
     }
+    let random_ns = t0.elapsed().as_nanos() as f64 / steps as f64;
+
+    // Fifo scheduler: same loop minus the RNG draws.
+    let t0 = Instant::now();
+    let mut fifo_steps = 0u64;
+    for _ in 0..seeds {
+        vm.reset();
+        vm.run(&mut FifoScheduler, &mut NullMonitor);
+        fifo_steps += vm.stats().steps;
+    }
+    let fifo_ns = t0.elapsed().as_nanos() as f64 / fifo_steps as f64;
+
+    // Reset cost alone.
+    let t0 = Instant::now();
+    for _ in 0..seeds {
+        vm.reset();
+    }
+    let reset_ns = t0.elapsed().as_nanos() as f64 / seeds as f64;
+
+    println!(
+        "{name}: random {random_ns:.1} ns/step ({steps} steps) | \
+         fifo {fifo_ns:.1} ns/step ({fifo_steps} steps) | reset {reset_ns:.0} ns/seed"
+    );
 }

@@ -34,7 +34,7 @@ const CELL_SPECS: [CellSpec; 3] = [
     },
     CellSpec {
         event: "bench.vm.cell",
-        key_fields: &["workload", "phase", "backend"],
+        key_fields: &["workload", "phase"],
         metric: "millis",
     },
     CellSpec {
@@ -325,8 +325,8 @@ mod tests {
     #[test]
     fn identical_artifacts_have_zero_regressions() {
         let a = artifact(&[
-            ("bench.vm.cell", "sim_race sweep tree", 1.2),
-            ("bench.vm.cell", "sim_race sweep bytecode", 1.0),
+            ("bench.vm.cell", "sim_race sweep", 1.2),
+            ("bench.vm.cell", "sim_race oracle", 1.0),
         ]);
         let d = diff(&a, &a, 25.0).unwrap();
         assert_eq!(d.cells.len(), 2);
@@ -337,8 +337,8 @@ mod tests {
 
     #[test]
     fn degraded_cells_regress_and_fail_the_gate() {
-        let old = artifact(&[("bench.vm.cell", "sim_race sweep bytecode", 1.0)]);
-        let new = artifact(&[("bench.vm.cell", "sim_race sweep bytecode", 2.0)]);
+        let old = artifact(&[("bench.vm.cell", "sim_race sweep", 1.0)]);
+        let new = artifact(&[("bench.vm.cell", "sim_race sweep", 2.0)]);
         let d = diff(&old, &new, 25.0).unwrap();
         assert_eq!(d.regressions(), 1);
         assert!(d.has_failures());
@@ -388,12 +388,12 @@ mod tests {
 
     #[test]
     fn markdown_table_lists_every_cell() {
-        let old = artifact(&[("bench.vm.cell", "sim_race sweep tree", 1.0)]);
-        let new = artifact(&[("bench.vm.cell", "sim_race sweep tree", 3.0)]);
+        let old = artifact(&[("bench.vm.cell", "sim_race sweep", 1.0)]);
+        let new = artifact(&[("bench.vm.cell", "sim_race sweep", 3.0)]);
         let d = diff(&old, &new, 25.0).unwrap();
         let md = d.render_markdown("a.jsonl", "b.jsonl");
         assert!(md.contains("| bench | cell | old | new | delta% | status |"));
-        assert!(md.contains("workload=sim_race phase=sweep backend=tree"));
+        assert!(md.contains("| workload=sim_race phase=sweep |"));
         assert!(md.contains("regressed"));
         assert!(md.contains("1 regressed"));
     }
@@ -401,8 +401,7 @@ mod tests {
     #[test]
     fn corrupt_metric_is_an_error_not_noise() {
         let bad = "{\"type\":\"event\",\"name\":\"bench.vm.cell\",\"tid\":0,\"ts_ns\":1,\
-                   \"fields\":{\"workload\":\"w\",\"phase\":\"p\",\"backend\":\"b\",\
-                   \"millis\":\"fast\"}}\n";
+                   \"fields\":{\"workload\":\"w\",\"phase\":\"p\",\"millis\":\"fast\"}}\n";
         assert!(diff(bad, bad, 25.0).is_err());
     }
 }

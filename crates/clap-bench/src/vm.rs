@@ -1,24 +1,20 @@
-//! The VM-backend sweep behind the `bench_vm` binary: tree-walk vs flat
-//! bytecode on the two inner loops everything else amortizes into —
-//! seeded schedule sweeps (the record phase's unit of work) and the
-//! `clap-check` oracle's bounded exhaustive enumeration.
+//! The VM sweep behind the `bench_vm` binary: the two inner loops
+//! everything else amortizes into — seeded schedule sweeps (the record
+//! phase's unit of work) and the `clap-check` oracle's bounded
+//! exhaustive enumeration.
 //!
 //! Results are published through the [`clap_obs`] JSONL sink as
 //! `bench.vm` / `bench.vm.cell` events; `obsck` enforces the field
-//! schema. Each cell carries the backend's best wall-clock, the steps it
-//! executed (identical across backends — the equivalence contract made
-//! measurable), and its speedup relative to the tree-walk cell of the
-//! same (workload, phase).
+//! schema. Each cell carries the best wall-clock of one (workload, phase)
+//! and the steps it executed, so a trajectory tells "did less work" from
+//! "did the same work faster".
 
 use clap_check::OracleConfig;
-use clap_vm::{Backend, NullMonitor, RandomScheduler, Vm};
+use clap_vm::{NullMonitor, RandomScheduler, Vm};
 use std::time::Instant;
 
 /// Workloads swept (small → mid-size, same trio as `bench_explore`).
 pub const WORKLOADS: [&str; 3] = ["sim_race", "pbzip2", "bakery"];
-
-/// Backends compared; tree first so its cell is the speedup baseline.
-pub const BACKENDS: [Backend; 2] = [Backend::Tree, Backend::Bytecode];
 
 /// Seeds per sweep-phase measurement.
 pub const SWEEP_SEEDS: u64 = 300;
@@ -27,143 +23,86 @@ pub const SWEEP_SEEDS: u64 = 300;
 /// mid-size workloads' DFS bounded).
 pub const ORACLE_EXECUTIONS: u64 = 3_000;
 
-/// One (workload, phase, backend) measurement.
+/// One (workload, phase) measurement.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    /// The measured backend.
-    pub backend: Backend,
-    /// Best wall-clock over the repeats, in milliseconds.
-    pub millis: f64,
-    /// Scheduler steps (sweep) or leaves explored (oracle) — identical
-    /// across backends by the equivalence contract.
-    pub steps: u64,
-    /// Speedup vs the tree-walk cell of the same (workload, phase).
-    pub speedup: f64,
-}
-
-/// One workload × phase row of cells.
-#[derive(Debug, Clone)]
-pub struct PhaseResult {
+    /// Workload name.
+    pub workload: String,
     /// `"sweep"` or `"oracle"`.
     pub phase: &'static str,
-    /// One cell per entry of [`BACKENDS`].
-    pub cells: Vec<Cell>,
+    /// Best wall-clock over the repeats, in milliseconds.
+    pub millis: f64,
+    /// Scheduler steps (sweep) or leaves explored (oracle).
+    pub steps: u64,
 }
 
-/// One workload's measurements.
-#[derive(Debug, Clone)]
-pub struct WorkloadResult {
-    /// Workload name.
-    pub name: String,
-    /// The sweep and oracle rows.
-    pub phases: Vec<PhaseResult>,
-}
-
-/// A complete backend comparison.
+/// A complete VM sweep.
 #[derive(Debug, Clone)]
 pub struct VmBench {
     /// Cores available on the measuring host.
     pub host_cores: usize,
     /// Repeats per cell (best-of).
     pub repeats: u32,
-    /// One entry per swept workload.
-    pub workloads: Vec<WorkloadResult>,
+    /// One cell per workload and phase.
+    pub cells: Vec<Cell>,
 }
 
-/// Noise margin for the CI gate: the smallest cells measure ~1ms and
-/// shared CI runners jitter timings by ±20% run to run, so the gate
-/// fails only when a bytecode cell is slower than tree-walk by more
-/// than this factor — a real regression, not scheduler noise. The
-/// speedup claims themselves live in `BENCH_vm.jsonl` and DESIGN.md.
-pub const GATE_NOISE_MARGIN: f64 = 1.25;
-
-impl VmBench {
-    /// `true` when no bytecode cell is slower than its tree-walk
-    /// baseline beyond [`GATE_NOISE_MARGIN`] (the CI smoke-step gate).
-    pub fn bytecode_never_slower(&self) -> bool {
-        self.workloads
-            .iter()
-            .flat_map(|w| &w.phases)
-            .flat_map(|p| &p.cells)
-            .filter(|c| c.backend == Backend::Bytecode)
-            .all(|c| c.speedup >= 1.0 / GATE_NOISE_MARGIN)
-    }
-}
-
-/// Runs the comparison: `repeats` best-of measurements per cell.
+/// Runs the sweep: `repeats` best-of measurements per cell.
 pub fn run(repeats: u32) -> VmBench {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut workloads = Vec::new();
+    let mut cells = Vec::new();
     for name in WORKLOADS {
         let workload = clap_workloads::by_name(name).expect("workload exists");
         let program = workload.program();
         let shared = clap_analysis::analyze(&program).shared_spec();
 
-        let mut phases = Vec::new();
         for phase in ["sweep", "oracle"] {
-            let mut cells = Vec::new();
-            for backend in BACKENDS {
-                let mut best = f64::INFINITY;
-                let mut steps = 0u64;
-                for _ in 0..repeats {
-                    let t0 = Instant::now();
-                    steps = match phase {
-                        "sweep" => {
-                            let mut vm =
-                                Vm::with_backend(&program, workload.model, shared.clone(), backend);
-                            vm.set_step_limit(1_000_000);
-                            let mut total = 0u64;
-                            for seed in 0..SWEEP_SEEDS {
-                                vm.reset();
-                                let mut sched = RandomScheduler::with_stickiness(seed, 0.7);
-                                vm.run(&mut sched, &mut NullMonitor);
-                                total += vm.stats().steps;
-                            }
-                            total
+            let mut best = f64::INFINITY;
+            let mut steps = 0u64;
+            for _ in 0..repeats {
+                let t0 = Instant::now();
+                steps = match phase {
+                    "sweep" => {
+                        let mut vm = Vm::with_shared(&program, workload.model, shared.clone());
+                        vm.set_step_limit(1_000_000);
+                        let mut total = 0u64;
+                        for seed in 0..SWEEP_SEEDS {
+                            vm.reset();
+                            let mut sched = RandomScheduler::with_stickiness(seed, 0.7);
+                            vm.run(&mut sched, &mut NullMonitor);
+                            total += vm.stats().steps;
                         }
-                        _ => {
-                            let config = OracleConfig::new(workload.model)
-                                .with_max_executions(ORACLE_EXECUTIONS)
-                                .with_backend(backend);
-                            let report = clap_check::enumerate_with_shared(
-                                &program,
-                                shared.clone(),
-                                &config,
-                            );
-                            report.executions
-                        }
-                    };
-                    best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-                }
-                eprintln!("{name}: phase={phase} backend={backend} best={best:.2}ms steps={steps}");
-                cells.push(Cell {
-                    backend,
-                    millis: best,
-                    steps,
-                    speedup: 0.0,
-                });
+                        total
+                    }
+                    _ => {
+                        let config = OracleConfig::new(workload.model)
+                            .with_max_executions(ORACLE_EXECUTIONS);
+                        let report =
+                            clap_check::enumerate_with_shared(&program, shared.clone(), &config);
+                        report.executions
+                    }
+                };
+                best = best.min(t0.elapsed().as_secs_f64() * 1e3);
             }
-            let base = cells[0].millis;
-            for cell in &mut cells {
-                cell.speedup = base / cell.millis;
-            }
-            phases.push(PhaseResult { phase, cells });
+            eprintln!("{name}: phase={phase} best={best:.2}ms steps={steps}");
+            cells.push(Cell {
+                workload: name.to_owned(),
+                phase,
+                millis: best,
+                steps,
+            });
         }
-        workloads.push(WorkloadResult {
-            name: name.to_owned(),
-            phases,
-        });
     }
     VmBench {
         host_cores,
         repeats,
-        workloads,
+        cells,
     }
 }
 
-/// Records the comparison into the global [`clap_obs`] collector: one
+/// Records the sweep into the global [`clap_obs`] collector: one
 /// `bench.vm` header event plus one `bench.vm.cell` event per
 /// measurement. Flushing an observer with a metrics path then yields the
 /// JSONL artifact.
@@ -175,22 +114,16 @@ pub fn emit_events(bench: &VmBench) {
             ("repeats", bench.repeats.to_string()),
         ],
     );
-    for w in &bench.workloads {
-        for p in &w.phases {
-            for cell in &p.cells {
-                clap_obs::event(
-                    "bench.vm.cell",
-                    &[
-                        ("workload", w.name.clone()),
-                        ("phase", p.phase.to_owned()),
-                        ("backend", cell.backend.to_string()),
-                        ("millis", format!("{:.3}", cell.millis)),
-                        ("steps", cell.steps.to_string()),
-                        ("speedup", format!("{:.3}", cell.speedup)),
-                    ],
-                );
-            }
-        }
+    for cell in &bench.cells {
+        clap_obs::event(
+            "bench.vm.cell",
+            &[
+                ("workload", cell.workload.clone()),
+                ("phase", cell.phase.to_owned()),
+                ("millis", format!("{:.3}", cell.millis)),
+                ("steps", cell.steps.to_string()),
+            ],
+        );
     }
 }
 
@@ -198,48 +131,22 @@ pub fn emit_events(bench: &VmBench) {
 mod tests {
     use super::*;
 
-    fn sample(bytecode_speedup: f64) -> VmBench {
-        VmBench {
-            host_cores: 8,
-            repeats: 3,
-            workloads: vec![WorkloadResult {
-                name: "sim_race".to_owned(),
-                phases: vec![PhaseResult {
-                    phase: "sweep",
-                    cells: vec![
-                        Cell {
-                            backend: Backend::Tree,
-                            millis: 10.0,
-                            steps: 12_345,
-                            speedup: 1.0,
-                        },
-                        Cell {
-                            backend: Backend::Bytecode,
-                            millis: 10.0 / bytecode_speedup,
-                            steps: 12_345,
-                            speedup: bytecode_speedup,
-                        },
-                    ],
-                }],
-            }],
-        }
-    }
-
-    #[test]
-    fn gate_accepts_faster_and_rejects_slower_bytecode() {
-        assert!(sample(2.0).bytecode_never_slower());
-        assert!(sample(1.0).bytecode_never_slower());
-        // Inside the noise margin: not a gate failure.
-        assert!(sample(0.9).bytecode_never_slower());
-        assert!(!sample(0.5).bytecode_never_slower());
-    }
-
     #[test]
     fn events_follow_the_strict_schema() {
         let _l = clap_obs::test_lock();
         clap_obs::reset();
         clap_obs::enable();
-        emit_events(&sample(2.0));
+        let cell = |phase, millis, steps| Cell {
+            workload: "sim_race".to_owned(),
+            phase,
+            millis,
+            steps,
+        };
+        emit_events(&VmBench {
+            host_cores: 8,
+            repeats: 3,
+            cells: vec![cell("sweep", 10.0, 12_345), cell("oracle", 30.0, 3_000)],
+        });
         clap_obs::disable();
         let snap = clap_obs::snapshot();
         let mut buf = Vec::new();
@@ -254,27 +161,5 @@ mod tests {
                 .count(),
             2
         );
-    }
-
-    /// The measured step counts must be backend-independent — this is the
-    /// equivalence contract surfacing in the benchmark artifact.
-    #[test]
-    fn step_counts_agree_across_backends_on_the_smallest_workload() {
-        let workload = clap_workloads::by_name("sim_race").unwrap();
-        let program = workload.program();
-        let shared = clap_analysis::analyze(&program).shared_spec();
-        let mut totals = Vec::new();
-        for backend in BACKENDS {
-            let mut vm = Vm::with_backend(&program, workload.model, shared.clone(), backend);
-            let mut total = 0u64;
-            for seed in 0..25 {
-                vm.reset();
-                let mut sched = RandomScheduler::with_stickiness(seed, 0.7);
-                vm.run(&mut sched, &mut NullMonitor);
-                total += vm.stats().steps;
-            }
-            totals.push(total);
-        }
-        assert_eq!(totals[0], totals[1]);
     }
 }

@@ -34,7 +34,7 @@
 use crate::fingerprint::{Fingerprint, FingerprintKey, FingerprintMonitor};
 use clap_ir::{AssertId, Program};
 use clap_vm::{
-    Action, Backend, Lineage, MemModel, NullMonitor, Outcome, SapPreviewKind, SharedSpec, Snapshot,
+    Action, Lineage, MemModel, NullMonitor, Outcome, SapPreviewKind, SharedSpec, Snapshot,
     StepPreview, ThreadId, Vm,
 };
 use std::collections::HashSet;
@@ -54,10 +54,6 @@ pub struct OracleConfig {
     pub max_executions: u64,
     /// Cap on distinct failing executions collected.
     pub max_failing: usize,
-    /// Which VM execution backend to enumerate with. The report is
-    /// backend-independent (the equivalence suite pins this); the flat
-    /// bytecode backend is simply faster.
-    pub backend: Backend,
 }
 
 impl OracleConfig {
@@ -69,7 +65,6 @@ impl OracleConfig {
             max_steps: 10_000,
             max_executions: 200_000,
             max_failing: 4_096,
-            backend: Backend::default(),
         }
     }
 
@@ -82,12 +77,6 @@ impl OracleConfig {
     /// Overrides the execution cap.
     pub fn with_max_executions(mut self, cap: u64) -> Self {
         self.max_executions = cap;
-        self
-    }
-
-    /// Overrides the VM execution backend.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 }
@@ -182,7 +171,7 @@ pub fn enumerate_with_shared(
     config: &OracleConfig,
 ) -> OracleReport {
     let _span = clap_obs::span("check.oracle");
-    let vm = Vm::with_backend(program, config.model, shared, config.backend);
+    let vm = Vm::with_shared(program, config.model, shared);
     let mut mon = FingerprintMonitor::new();
     mon.register_thread(ThreadId::MAIN, vm.thread(ThreadId::MAIN).lineage.clone());
     let mut e = Enumerator {

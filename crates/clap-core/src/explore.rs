@@ -66,7 +66,7 @@
 use crate::{ExploreCutover, Pipeline, PipelineConfig, PipelineError, RecordedFailure};
 use clap_profile::{PathRecorder, SyncOrderRecorder};
 use clap_symex::FailureContext;
-use clap_vm::{Backend, MultiMonitor, Outcome, RandomScheduler, Vm};
+use clap_vm::{MultiMonitor, Outcome, RandomScheduler, Vm};
 use crossbeam::channel::{Receiver, Sender};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -215,7 +215,6 @@ fn pristine_vm<'p>(pipeline: &'p Pipeline, config: &PipelineConfig) -> Vm<'p> {
         std::sync::Arc::clone(pipeline.compiled()),
         config.model,
         pipeline.sharing.shared_spec(),
-        Backend::Bytecode,
     );
     vm.set_step_limit(config.step_limit);
     vm

@@ -244,10 +244,7 @@ pub const EVENT_FIELD_SCHEMA: &[(&str, &[&str])] = &[
         ],
     ),
     ("bench.vm", &["host_cores", "repeats"]),
-    (
-        "bench.vm.cell",
-        &["workload", "phase", "backend", "millis", "steps", "speedup"],
-    ),
+    ("bench.vm.cell", &["workload", "phase", "millis", "steps"]),
     (
         "bench.serve",
         &["corpus", "workers", "queue_cap", "clients"],

@@ -29,8 +29,8 @@ use clap_constraints::Schedule;
 use clap_ir::{AssertId, Program};
 use clap_symex::{SapKind, SymTrace, ThreadIdx};
 use clap_vm::{
-    Action, Backend, CompiledProgram, Lineage, Monitor, NullMonitor, Outcome, Scheduler,
-    SharedSpec, StepPreview, ThreadId, Vm,
+    Action, CompiledProgram, Lineage, Monitor, NullMonitor, Outcome, Scheduler, SharedSpec,
+    StepPreview, ThreadId, Vm,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -302,7 +302,7 @@ pub fn replay_compiled(
     expected_assert: AssertId,
     monitor: &mut dyn Monitor,
 ) -> Result<ReplayReport, ReplayError> {
-    let vm = Vm::with_compiled(program, compiled, model, shared, Backend::Bytecode);
+    let vm = Vm::with_compiled(program, compiled, model, shared);
     replay_on(vm, trace, schedule, expected_assert, monitor)
 }
 

@@ -1,28 +1,28 @@
 //! The flat-bytecode program representation: the whole CFG lowered once
 //! into a single code array with pre-resolved jump targets.
 //!
-//! The tree-walking interpreter pays three pointer chases per step
-//! (`functions[f].blocks[b].instrs[ip]`) plus a terminator clone at every
-//! block boundary. This module flattens every function's blocks into one
-//! `Vec<Op>` — the shape of souvenir's VM (`VecMap<InstrAddr, Instr>` plus
-//! a label→address jump table) — so the interpreter's fetch is a single
-//! indexed load of a `Copy` instruction, and `goto`/`branch` become jumps
-//! to absolute instruction addresses resolved at compile time.
+//! Every function's blocks are flattened into one `Vec<Op>` — the shape
+//! of souvenir's VM (`VecMap<InstrAddr, Instr>` plus a label→address jump
+//! table) — so the interpreter's fetch is a single indexed load of a
+//! `Copy` instruction, with no pointer chase through
+//! `functions[f].blocks[b].instrs[ip]` and no terminator clone at block
+//! boundaries, and `goto`/`branch` become jumps to absolute instruction
+//! addresses resolved at compile time.
 //!
-//! Design invariants (the differential suite in `tests/vm_equivalence.rs`
-//! pins all of them):
+//! Design invariants (the golden streams in `tests/vm_equivalence.rs`
+//! pin the VM behavior that rests on them):
 //!
 //! * **One op per scheduler step.** Every IR instruction *and* every
 //!   terminator lowers to exactly one [`Op`], including fall-through
-//!   `goto`s. No fusion, no peephole: the bytecode backend must present
-//!   the same enabled-action lists, step counts, monitor event streams and
-//!   schedules as the tree walker, byte for byte.
-//! * **Addresses are dense.** The op at `pc` for block `b`, instruction
-//!   `ip` is `block_entry(b) + ip`; a block's terminator sits right after
-//!   its last instruction. That makes the `(block, ip)` frame coordinates
-//!   the rest of the system reads (the symbolic executor's failure
-//!   context, the oracle's assert evaluation) recoverable from a `pc` via
-//!   one side-table lookup — see [`CompiledProgram::info`].
+//!   `goto`s. No fusion, no peephole: every step is a scheduling point,
+//!   so step counts, enabled-action lists, schedules and the oracle's
+//!   search space are those of the IR program.
+//! * **Addresses are dense.** A block's instructions sit at consecutive
+//!   addresses with its terminator right after the last one. That makes
+//!   the `(block, ip)` frame coordinates the rest of the system reads
+//!   (the symbolic executor's failure context, monitors' CFG edges)
+//!   recoverable from a `pc` via one side-table lookup — see
+//!   [`CompiledProgram::info`].
 //! * **No heap per op.** Variable-length argument lists (`call`, `fork`)
 //!   are interned into one shared pool and referenced by [`ArgsRef`]
 //!   ranges, keeping [`Op`] `Copy`.
@@ -275,10 +275,6 @@ pub struct CompiledProgram {
     pub(crate) arg_pool: Vec<Operand>,
     pub(crate) funcs: Vec<FuncInfo>,
     pub(crate) info: Vec<PcInfo>,
-    /// Flattened per-function block→address table (the jump table).
-    pub(crate) block_entry: Vec<u32>,
-    /// Per-function offset into [`CompiledProgram::block_entry`].
-    pub(crate) block_base: Vec<u32>,
 }
 
 impl CompiledProgram {
@@ -303,15 +299,6 @@ impl CompiledProgram {
     #[inline]
     pub fn func(&self, f: FuncId) -> FuncInfo {
         self.funcs[f.index()]
-    }
-
-    /// The absolute address of `(func, block, ip)` — valid for
-    /// `ip ≤ instrs.len()` (the terminator's address is one past the last
-    /// instruction).
-    #[inline]
-    pub fn pc_of(&self, func: FuncId, block: BlockId, ip: usize) -> u32 {
-        let base = self.block_base[func.index()] as usize;
-        self.block_entry[base + block.index()] + ip as u32
     }
 
     /// The interned operand list of an [`ArgsRef`].
@@ -360,20 +347,21 @@ mod tests {
         .unwrap();
         let c = CompiledProgram::new(&p);
         assert_eq!(c.len(), c.info.len());
-        // Every (func, block, ip) coordinate maps to a pc whose info maps
-        // straight back.
-        for (fi, f) in p.functions.iter().enumerate() {
-            let func = FuncId(fi as u32);
+        // Functions and their blocks are laid out in order, so walking every
+        // (func, block, ip) coordinate in that order visits each pc once,
+        // and each pc's info names its coordinate.
+        let mut pc = 0;
+        for f in &p.functions {
             for (bi, b) in f.blocks.iter().enumerate() {
-                let block = BlockId(bi as u32);
                 for ip in 0..=b.instrs.len() {
-                    let pc = c.pc_of(func, block, ip);
                     let info = c.info(pc);
-                    assert_eq!(info.block, block);
+                    assert_eq!(info.block, BlockId(bi as u32));
                     assert_eq!(info.ip as usize, ip);
+                    pc += 1;
                 }
             }
         }
+        assert_eq!(pc as usize, c.len());
     }
 
     #[test]

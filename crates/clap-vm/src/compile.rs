@@ -22,26 +22,22 @@ pub fn compile(program: &Program) -> CompiledProgram {
     let mut info = Vec::with_capacity(total_ops);
     let mut arg_pool = Vec::new();
     let mut funcs = Vec::with_capacity(program.functions.len());
-    let mut block_entry: Vec<u32> = Vec::new();
-    let mut block_base = Vec::with_capacity(program.functions.len());
 
     for f in &program.functions {
-        let base = block_entry.len();
-        block_base.push(base as u32);
-
         // Pass 1: block start addresses.
+        let mut block_entry = Vec::with_capacity(f.blocks.len());
         let mut next = code.len() as u32;
         for b in &f.blocks {
             block_entry.push(next);
             next += b.instrs.len() as u32 + 1;
         }
         funcs.push(FuncInfo {
-            entry: block_entry[base + f.entry.index()],
+            entry: block_entry[f.entry.index()],
             locals: f.locals.len() as u32,
         });
 
         // Pass 2: emit ops with targets resolved against pass 1.
-        let target = |b: BlockId| block_entry[base + b.index()];
+        let target = |b: BlockId| block_entry[b.index()];
         for (bi, b) in f.blocks.iter().enumerate() {
             let block = BlockId(bi as u32);
             for (ip, instr) in b.instrs.iter().enumerate() {
@@ -76,8 +72,6 @@ pub fn compile(program: &Program) -> CompiledProgram {
         arg_pool,
         funcs,
         info,
-        block_entry,
-        block_base,
     }
 }
 
@@ -220,7 +214,8 @@ mod tests {
         for (fi, f) in p.functions.iter().enumerate() {
             let func = clap_ir::FuncId(fi as u32);
             let meta = c.func(func);
-            assert_eq!(meta.entry, c.pc_of(func, f.entry, 0));
+            let at = c.info(meta.entry);
+            assert_eq!((at.block, at.ip), (f.entry, 0));
             assert_eq!(meta.locals as usize, f.locals.len());
         }
     }

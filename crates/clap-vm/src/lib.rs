@@ -44,6 +44,5 @@ pub use sched::{Action, FifoScheduler, FnScheduler, RandomScheduler, Scheduler, 
 pub use stats::ExecStats;
 pub use thread::{Frame, Lineage, Status, Thread, ThreadId};
 pub use vm::{
-    run_with_seed, Backend, Outcome, SapPreviewKind, SharedSpec, Snapshot, StepPreview,
-    StepProfile, Vm,
+    run_with_seed, Outcome, SapPreviewKind, SharedSpec, Snapshot, StepPreview, StepProfile, Vm,
 };

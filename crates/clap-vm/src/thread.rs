@@ -92,10 +92,8 @@ pub struct Frame {
     pub ip: usize,
     /// Where the caller wants the return value, if anywhere.
     pub ret_dst: Option<LocalId>,
-    /// Flat-bytecode address of the next op (see [`crate::bytecode`]).
-    /// Maintained only by the bytecode backend; the tree walker leaves it
-    /// untouched, and snapshot restore re-derives it from
-    /// `(func, block, ip)`.
+    /// Flat-bytecode address of the next op (see [`crate::bytecode`]);
+    /// `block` and `ip` are its coordinates in the CFG.
     pub pc: u32,
 }
 

@@ -8,12 +8,10 @@
 //! relaxed-memory visibility points that make Dekker-style algorithms fail
 //! under TSO/PSO.
 //!
-//! Two execution backends share this interface (see [`Backend`]): the
-//! original tree walker over the CFG, and the default flat-bytecode
-//! interpreter (see [`crate::bytecode`]) whose inner loop fetches `Copy`
-//! ops by absolute address. Both produce bit-identical schedules, stats,
-//! and monitor event streams; the tree walker is retained as the
-//! differential baseline.
+//! Each thread step executes one op of the program's flat bytecode (see
+//! [`crate::bytecode`]), fetched by the frame's absolute `pc`. The frame
+//! also tracks the op's `(block, ip)` coordinates, which CFG-edge events
+//! and the symbolic executor's failure context read.
 
 use crate::bytecode::{CompiledProgram, Op, Rv};
 use crate::mem::{Addr, BufferedStore, Layout, MemModel, Memory, StoreBuffer};
@@ -22,8 +20,8 @@ use crate::sched::{Action, Scheduler};
 use crate::stats::ExecStats;
 use crate::thread::{Frame, Lineage, Status, Thread, ThreadId};
 use clap_ir::{
-    eval_binop, eval_unop, AssertId, AtomicOrd, BlockId, ChanId, CondId, FuncId, GlobalId, Instr,
-    LocalId, MutexId, Operand, Program, Rvalue, Terminator,
+    eval_binop, eval_unop, AssertId, AtomicOrd, BlockId, ChanId, CondId, FuncId, GlobalId, LocalId,
+    MutexId, Operand, Program,
 };
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -84,31 +82,6 @@ impl SharedSpec {
         match self {
             SharedSpec::All => true,
             SharedSpec::Set(set) => set.contains(&global),
-        }
-    }
-}
-
-/// Which interpreter executes the program. Both backends implement the
-/// exact same step semantics — same enabled actions, same stats, same
-/// monitor events at the same points — so they are interchangeable under
-/// any scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// Walk the CFG directly (`functions[f].blocks[b].instrs[ip]`). The
-    /// original interpreter, kept as the differential-testing baseline.
-    Tree,
-    /// Execute flat bytecode compiled once per program (see
-    /// [`crate::compile`]): index-advancing dispatch over `Copy` ops with
-    /// pre-resolved jump targets.
-    #[default]
-    Bytecode,
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::Tree => write!(f, "tree"),
-            Backend::Bytecode => write!(f, "bytecode"),
         }
     }
 }
@@ -245,13 +218,11 @@ struct ThreadImage {
     store_len: u32,
 }
 
-/// Flattened activation record; `pc` is re-derived from `(func, block,
-/// ip)` at restore time so snapshots are interchangeable across backends.
+/// Flattened activation record; restore derives `(block, ip)` from `pc`.
 #[derive(Debug, Clone, Copy)]
 struct FrameImage {
     func: FuncId,
-    block: BlockId,
-    ip: u32,
+    pc: u32,
     ret_dst: Option<LocalId>,
     locals_start: u32,
     locals_len: u32,
@@ -294,7 +265,6 @@ pub struct StepProfile {
 pub struct Vm<'p> {
     program: &'p Program,
     compiled: Arc<CompiledProgram>,
-    backend: Backend,
     layout: Layout,
     memory: Memory,
     model: MemModel,
@@ -383,19 +353,8 @@ impl<'p> Vm<'p> {
 
     /// Creates a VM with an explicit shared-variable specification.
     pub fn with_shared(program: &'p Program, model: MemModel, shared: SharedSpec) -> Self {
-        Self::with_backend(program, model, shared, Backend::default())
-    }
-
-    /// Creates a VM with an explicit execution backend (compiling the
-    /// program's bytecode itself).
-    pub fn with_backend(
-        program: &'p Program,
-        model: MemModel,
-        shared: SharedSpec,
-        backend: Backend,
-    ) -> Self {
         let compiled = Arc::new(CompiledProgram::new(program));
-        Self::with_compiled(program, compiled, model, shared, backend)
+        Self::with_compiled(program, compiled, model, shared)
     }
 
     /// Creates a VM reusing an already-compiled program — the cheap
@@ -410,7 +369,6 @@ impl<'p> Vm<'p> {
         compiled: Arc<CompiledProgram>,
         model: MemModel,
         shared: SharedSpec,
-        backend: Backend,
     ) -> Self {
         let expected: usize = program
             .functions
@@ -439,7 +397,6 @@ impl<'p> Vm<'p> {
         Vm {
             program,
             compiled,
-            backend,
             layout,
             memory,
             model,
@@ -475,11 +432,6 @@ impl<'p> Vm<'p> {
     /// The memory model in effect.
     pub fn model(&self) -> MemModel {
         self.model
-    }
-
-    /// The execution backend in effect.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// The compiled bytecode, shareable with other VMs over the same
@@ -592,12 +544,9 @@ impl<'p> Vm<'p> {
         &self.buffers[t.index()]
     }
 
-    /// Classifies what stepping thread `t` would do, without side effects.
-    ///
-    /// Both backends share this implementation: it classifies the flat
-    /// bytecode op at the thread's position (for the tree walker the
-    /// address is re-derived from `(func, block, ip)`), which is exactly
-    /// the instruction or terminator the step would execute.
+    /// Classifies what stepping thread `t` would do, without side effects:
+    /// it classifies the op at the thread's `pc`, which is exactly the
+    /// instruction or terminator the step would execute.
     ///
     /// # Panics
     ///
@@ -606,12 +555,8 @@ impl<'p> Vm<'p> {
         let thread = &self.threads[t.index()];
         assert!(!thread.frames.is_empty(), "preview of an exited thread");
         let frame = thread.frame();
-        let pc = match self.backend {
-            Backend::Bytecode => frame.pc,
-            Backend::Tree => self.compiled.pc_of(frame.func, frame.block, frame.ip),
-        };
         let sap = thread.next_sap_index;
-        match self.compiled.op(pc) {
+        match self.compiled.op(frame.pc) {
             // Terminators: a thread's final `return` flushes its buffer.
             Op::Jump { .. } | Op::Branch { .. } => StepPreview::Invisible,
             Op::Return { .. } => {
@@ -800,11 +745,7 @@ impl<'p> Vm<'p> {
             return None;
         }
         let frame = thread.frame();
-        let pc = match self.backend {
-            Backend::Bytecode => frame.pc,
-            Backend::Tree => self.compiled.pc_of(frame.func, frame.block, frame.ip),
-        };
-        match self.compiled.op(pc) {
+        match self.compiled.op(frame.pc) {
             Op::Assert { cond, id } => Some((id, operand(frame, cond) != 0)),
             _ => None,
         }
@@ -860,12 +801,7 @@ impl<'p> Vm<'p> {
             match th.status {
                 Status::BlockedRecv(c) => c == chan,
                 Status::Runnable => {
-                    let fr = th.frame();
-                    let pc = match self.backend {
-                        Backend::Bytecode => fr.pc,
-                        Backend::Tree => self.compiled.pc_of(fr.func, fr.block, fr.ip),
-                    };
-                    matches!(self.compiled.op(pc), Op::Recv { chan: c, .. } if c == chan)
+                    matches!(self.compiled.op(th.frame().pc), Op::Recv { chan: c, .. } if c == chan)
                 }
                 _ => false,
             }
@@ -1012,8 +948,7 @@ impl<'p> Vm<'p> {
                 snap.locals.extend_from_slice(&fr.locals);
                 snap.frames.push(FrameImage {
                     func: fr.func,
-                    block: fr.block,
-                    ip: fr.ip as u32,
+                    pc: fr.pc,
                     ret_dst: fr.ret_dst,
                     locals_start,
                     locals_len: fr.locals.len() as u32,
@@ -1083,8 +1018,7 @@ impl<'p> Vm<'p> {
                         && th.frames.len() == frames.len()
                         && th.frames.iter().zip(frames).all(|(fr, fi)| {
                             fr.func == fi.func
-                                && fr.block == fi.block
-                                && fr.ip == fi.ip as usize
+                                && fr.pc == fi.pc
                                 && fr.ret_dst == fi.ret_dst
                                 && fr.locals == snap.locals[range(fi.locals_start, fi.locals_len)]
                         })
@@ -1128,9 +1062,11 @@ impl<'p> Vm<'p> {
             let stores = &snapshot.stores
                 [img.store_start as usize..(img.store_start + img.store_len) as usize];
             let restore_frame = |fr: &mut Frame, fi: &FrameImage| {
+                let at = self.compiled.info(fi.pc);
                 fr.func = fi.func;
-                fr.block = fi.block;
-                fr.ip = fi.ip as usize;
+                fr.block = at.block;
+                fr.ip = at.ip as usize;
+                fr.pc = fi.pc;
                 fr.ret_dst = fi.ret_dst;
                 fr.locals.clear();
                 fr.locals.extend_from_slice(
@@ -1151,7 +1087,7 @@ impl<'p> Vm<'p> {
                     if j < th.frames.len() {
                         restore_frame(&mut th.frames[j], fi);
                     } else {
-                        let mut fr = Frame::new(fi.func, fi.block, 0, &[]);
+                        let mut fr = Frame::new(fi.func, BlockId(0), 0, &[]);
                         restore_frame(&mut fr, fi);
                         th.frames.push(fr);
                     }
@@ -1160,7 +1096,7 @@ impl<'p> Vm<'p> {
             } else {
                 let mut new_frames = Vec::with_capacity(frames.len());
                 for fi in frames {
-                    let mut fr = Frame::new(fi.func, fi.block, 0, &[]);
+                    let mut fr = Frame::new(fi.func, BlockId(0), 0, &[]);
                     restore_frame(&mut fr, fi);
                     new_frames.push(fr);
                 }
@@ -1218,7 +1154,6 @@ impl<'p> Vm<'p> {
         self.stats = snapshot.stats;
         self.announced_main = snapshot.announced_main;
         self.outcome = None;
-        self.resync_pcs();
     }
 
     /// Like [`Vm::restore`], but consumes the snapshot (a one-shot
@@ -1287,21 +1222,6 @@ impl<'p> Vm<'p> {
         };
         self.outcome = None;
         self.announced_main = false;
-    }
-
-    /// Re-derives every frame's flat `pc` from its `(func, block, ip)`
-    /// coordinates — restore-time sync that makes snapshots
-    /// interchangeable across backends (the tree walker never maintains
-    /// `pc`).
-    fn resync_pcs(&mut self) {
-        if self.backend != Backend::Bytecode {
-            return;
-        }
-        for th in &mut self.threads {
-            for fr in &mut th.frames {
-                fr.pc = self.compiled.pc_of(fr.func, fr.block, fr.ip);
-            }
-        }
     }
 
     /// Performs one action directly — caller-driven execution for tools
@@ -1563,19 +1483,10 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// Executes thread `t`'s next op: one `Copy` op fetched by absolute
+    /// address. A blocked op parks the thread instead and leaves its
+    /// position where it is, so the op runs again once the thread wakes.
     fn step_thread(&mut self, t: ThreadId, monitor: &mut dyn Monitor) {
-        match self.backend {
-            Backend::Bytecode => self.step_thread_bc(t, monitor),
-            Backend::Tree => self.step_thread_tree(t, monitor),
-        }
-    }
-
-    /// The bytecode inner loop: one `Copy` op fetched by absolute address,
-    /// no block lookup, no terminator clone. Must mirror
-    /// [`Vm::step_thread_tree`] effect-for-effect — stats increments,
-    /// monitor callbacks and their order, blocking behavior — so the two
-    /// backends stay schedule-equivalent.
-    fn step_thread_bc(&mut self, t: ThreadId, monitor: &mut dyn Monitor) {
         self.stats.steps += 1;
         let ti = t.index();
         let pc = self.threads[ti].frame().pc;
@@ -2126,529 +2037,6 @@ impl<'p> Vm<'p> {
                     monitor.on_thread_exit(t);
                 } else if let (Some(dst), Some(v)) = (popped.ret_dst, ret) {
                     self.threads[ti].frame_mut().locals[dst.index()] = v;
-                }
-            }
-        }
-    }
-
-    fn step_thread_tree(&mut self, t: ThreadId, monitor: &mut dyn Monitor) {
-        self.stats.steps += 1;
-        let program = self.program;
-        let (func_id, block_id, ip) = {
-            let frame = self.threads[t.index()].frame();
-            (frame.func, frame.block, frame.ip)
-        };
-        let func = program.function(func_id);
-        let block = func.block(block_id);
-        if ip >= block.instrs.len() {
-            self.exec_terminator(t, func_id, monitor);
-            return;
-        }
-        let instr = &block.instrs[ip];
-        match instr {
-            Instr::Assign { dst, rv } => {
-                let frame = self.threads[t.index()].frame_mut();
-                let value = match rv {
-                    Rvalue::Use(op) => operand(frame, *op),
-                    Rvalue::Unary(op, a) => eval_unop(*op, operand(frame, *a)),
-                    Rvalue::Binary(op, a, b) => {
-                        eval_binop(*op, operand(frame, *a), operand(frame, *b))
-                    }
-                };
-                frame.locals[dst.index()] = value;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-            }
-            Instr::Load { dst, global, index } => {
-                let frame = self.threads[t.index()].frame();
-                let offset = index.map(|op| operand(frame, op)).unwrap_or(0);
-                let Some(addr) = self.layout.addr(*global, offset) else {
-                    let name = &program.globals[global.index()].name;
-                    self.fault(t, format!("load out of bounds: {name}[{offset}]"));
-                    return;
-                };
-                let shared = self.is_shared(*global);
-                let value = if shared && self.model.buffered() {
-                    self.buffers[t.index()]
-                        .forward(addr)
-                        .unwrap_or_else(|| self.memory.read(addr))
-                } else {
-                    self.memory.read(addr)
-                };
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = value;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                if shared {
-                    self.take_sap(t);
-                    monitor.on_access(
-                        t,
-                        &AccessEvent {
-                            global: *global,
-                            offset: offset as usize,
-                            addr,
-                            is_write: false,
-                            value,
-                        },
-                    );
-                }
-            }
-            Instr::Store { global, index, src } => {
-                let frame = self.threads[t.index()].frame();
-                let offset = index.map(|op| operand(frame, op)).unwrap_or(0);
-                let value = operand(frame, *src);
-                let Some(addr) = self.layout.addr(*global, offset) else {
-                    let name = &program.globals[global.index()].name;
-                    self.fault(t, format!("store out of bounds: {name}[{offset}]"));
-                    return;
-                };
-                let shared = self.is_shared(*global);
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                if shared {
-                    let po_index = self.take_sap(t);
-                    if self.model.buffered() {
-                        self.buffers[t.index()].push(BufferedStore {
-                            addr,
-                            value,
-                            po_index,
-                            release: false,
-                        });
-                    } else {
-                        self.memory.write(addr, value);
-                        monitor.on_commit(t, addr, value);
-                    }
-                    monitor.on_access(
-                        t,
-                        &AccessEvent {
-                            global: *global,
-                            offset: offset as usize,
-                            addr,
-                            is_write: true,
-                            value,
-                        },
-                    );
-                } else {
-                    self.memory.write(addr, value);
-                }
-            }
-            Instr::Lock(m) => {
-                if self.mutex_owner[m.index()].is_none() {
-                    self.flush_buffer(t, monitor);
-                    self.mutex_owner[m.index()] = Some(t);
-                    self.threads[t.index()].frame_mut().ip += 1;
-                    self.stats.instructions += 1;
-                    self.take_sap(t);
-                    monitor.on_sync(t, &SyncEvent::Lock(*m));
-                } else {
-                    self.threads[t.index()].status = Status::BlockedLock(*m);
-                }
-            }
-            Instr::Unlock(m) => {
-                if self.mutex_owner[m.index()] != Some(t) {
-                    let name = &program.mutexes[m.index()];
-                    self.fault(t, format!("unlock of mutex `{name}` not held by {t}"));
-                    return;
-                }
-                self.flush_buffer(t, monitor);
-                self.mutex_owner[m.index()] = None;
-                self.wake_lock_waiters(*m);
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::Unlock(*m));
-            }
-            Instr::Fork {
-                dst,
-                func: callee,
-                args,
-            } => {
-                let frame = self.threads[t.index()].frame();
-                let argv: Vec<i64> = args.iter().map(|a| operand(frame, *a)).collect();
-                self.flush_buffer(t, monitor);
-                let parent = &mut self.threads[t.index()];
-                parent.forks += 1;
-                let lineage = parent.lineage.child(parent.forks);
-                let child = ThreadId::from(self.threads.len());
-                let callee_fn = program.function(*callee);
-                let child_frame =
-                    Frame::new(*callee, callee_fn.entry, callee_fn.locals.len(), &argv);
-                self.threads
-                    .push(Thread::new(child, lineage.clone(), child_frame));
-                self.buffers.push(StoreBuffer::default());
-                self.mailboxes.push(VecDeque::new());
-                self.stats.threads += 1;
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = child.0 as i64;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::Fork(child));
-                monitor.on_thread_start(child, &lineage, *callee);
-                monitor.on_func_enter(child, *callee);
-            }
-            Instr::Join { handle } => {
-                let frame = self.threads[t.index()].frame();
-                let target = operand(frame, *handle);
-                if target < 0 || target as usize >= self.threads.len() {
-                    self.fault(t, format!("join of invalid thread handle {target}"));
-                    return;
-                }
-                let target = ThreadId::from(target as usize);
-                if self.threads[target.index()].status == Status::Exited {
-                    self.flush_buffer(t, monitor);
-                    self.threads[t.index()].frame_mut().ip += 1;
-                    self.stats.instructions += 1;
-                    self.take_sap(t);
-                    monitor.on_sync(t, &SyncEvent::Join(target));
-                } else {
-                    self.threads[t.index()].status = Status::BlockedJoin(target);
-                }
-            }
-            Instr::Wait { cond, mutex } => {
-                if let Some(m) = self.threads[t.index()].waiting_reacquire {
-                    // Phase 2: reacquire the mutex, complete the wait.
-                    if self.mutex_owner[m.index()].is_none() {
-                        self.mutex_owner[m.index()] = Some(t);
-                        let thread = &mut self.threads[t.index()];
-                        thread.waiting_reacquire = None;
-                        thread.frame_mut().ip += 1;
-                        self.stats.instructions += 1;
-                        self.take_sap(t);
-                        monitor.on_sync(t, &SyncEvent::Wait(*cond, m));
-                    } else {
-                        self.threads[t.index()].status = Status::BlockedLock(m);
-                    }
-                } else {
-                    // Phase 1: release the mutex and park.
-                    if self.mutex_owner[mutex.index()] != Some(t) {
-                        let name = &program.mutexes[mutex.index()];
-                        self.fault(t, format!("wait without holding mutex `{name}`"));
-                        return;
-                    }
-                    self.flush_buffer(t, monitor);
-                    self.mutex_owner[mutex.index()] = None;
-                    self.wake_lock_waiters(*mutex);
-                    let thread = &mut self.threads[t.index()];
-                    thread.status = Status::BlockedWait(*cond);
-                    thread.waiting_reacquire = Some(*mutex);
-                    self.cond_queue[cond.index()].push_back(t);
-                    self.stats.instructions += 1;
-                    self.take_sap(t);
-                    monitor.on_sync(t, &SyncEvent::Unlock(*mutex));
-                }
-            }
-            Instr::Signal(c) => {
-                if let Some(waiter) = self.cond_queue[c.index()].pop_front() {
-                    self.threads[waiter.index()].status = Status::Runnable;
-                }
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::Signal(*c));
-            }
-            Instr::Broadcast(c) => {
-                while let Some(waiter) = self.cond_queue[c.index()].pop_front() {
-                    self.threads[waiter.index()].status = Status::Runnable;
-                }
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::Broadcast(*c));
-            }
-            Instr::Send { chan, src } => {
-                let chan = *chan;
-                if !self.chan_send_ready(t, chan) {
-                    self.threads[t.index()].status = Status::BlockedSend(chan);
-                    return;
-                }
-                let value = operand(self.threads[t.index()].frame(), *src);
-                self.flush_buffer(t, monitor);
-                if !self.chan_closed[chan.index()] {
-                    self.chan_queues[chan.index()].push_back(value);
-                    self.wake_chan_receivers(chan);
-                }
-                // Closed channel: the value is silently dropped — the
-                // "lost close" failure mode the asserts observe.
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::ChanSend(chan));
-            }
-            Instr::Recv { dst, chan } => {
-                let chan = *chan;
-                if !self.chan_recv_ready(chan) {
-                    self.threads[t.index()].status = Status::BlockedRecv(chan);
-                    // A parked receiver is a rendezvous partner: let
-                    // capacity-0 senders recontend.
-                    self.wake_chan_senders(chan);
-                    return;
-                }
-                self.flush_buffer(t, monitor);
-                let value = match self.chan_queues[chan.index()].pop_front() {
-                    Some(v) => {
-                        self.wake_chan_senders(chan);
-                        v
-                    }
-                    None => -1, // closed and drained
-                };
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = value;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::ChanRecv(chan));
-            }
-            Instr::TrySend { dst, chan, src } => {
-                let chan = *chan;
-                let value = operand(self.threads[t.index()].frame(), *src);
-                self.flush_buffer(t, monitor);
-                let ok = if self.chan_closed[chan.index()] {
-                    false
-                } else {
-                    let cap = self.program.chans[chan.index()].cap;
-                    let ready = if cap == 0 {
-                        self.chan_queues[chan.index()].is_empty() && self.recv_positioned(t, chan)
-                    } else {
-                        self.chan_queues[chan.index()].len() < cap
-                    };
-                    if ready {
-                        self.chan_queues[chan.index()].push_back(value);
-                        self.wake_chan_receivers(chan);
-                    }
-                    ready
-                };
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = ok as i64;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::ChanTrySend(chan, ok));
-            }
-            Instr::TryRecv { dst, chan } => {
-                let chan = *chan;
-                self.flush_buffer(t, monitor);
-                let (value, ok) = match self.chan_queues[chan.index()].pop_front() {
-                    Some(v) => {
-                        self.wake_chan_senders(chan);
-                        (v, true)
-                    }
-                    None => (-1, false),
-                };
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = value;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::ChanTryRecv(chan, ok));
-            }
-            Instr::ChanClose(c) => {
-                let c = *c;
-                self.flush_buffer(t, monitor);
-                self.chan_closed[c.index()] = true; // double-close is a no-op
-                self.wake_chan_senders(c);
-                self.wake_chan_receivers(c);
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::ChanClose(c));
-            }
-            Instr::SpawnActor {
-                dst,
-                func: callee,
-                args,
-            } => {
-                let frame = self.threads[t.index()].frame();
-                let argv: Vec<i64> = args.iter().map(|a| operand(frame, *a)).collect();
-                self.flush_buffer(t, monitor);
-                let parent = &mut self.threads[t.index()];
-                parent.forks += 1;
-                let lineage = parent.lineage.child(parent.forks);
-                let child = ThreadId::from(self.threads.len());
-                let callee_fn = program.function(*callee);
-                let child_frame =
-                    Frame::new(*callee, callee_fn.entry, callee_fn.locals.len(), &argv);
-                self.threads
-                    .push(Thread::new(child, lineage.clone(), child_frame));
-                self.buffers.push(StoreBuffer::default());
-                self.mailboxes.push(VecDeque::new());
-                self.stats.threads += 1;
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = child.0 as i64;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::SpawnActor(child));
-                monitor.on_thread_start(child, &lineage, *callee);
-                monitor.on_func_enter(child, *callee);
-            }
-            Instr::MailboxSend { target, src } => {
-                let frame = self.threads[t.index()].frame();
-                let handle = operand(frame, *target);
-                let value = operand(frame, *src);
-                if handle < 0 || handle as usize >= self.threads.len() {
-                    self.fault(t, format!("mailbox_send to invalid thread handle {handle}"));
-                    return;
-                }
-                let target = ThreadId::from(handle as usize);
-                self.flush_buffer(t, monitor);
-                if self.threads[target.index()].status != Status::Exited {
-                    self.mailboxes[target.index()].push_back(value);
-                    if self.threads[target.index()].status == Status::BlockedMailbox {
-                        self.threads[target.index()].status = Status::Runnable;
-                    }
-                }
-                // Dead letter: a message to an exited thread is dropped.
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::MailboxSend(target));
-            }
-            Instr::MailboxRecv { dst } => {
-                if self.mailboxes[t.index()].is_empty() {
-                    self.threads[t.index()].status = Status::BlockedMailbox;
-                    return;
-                }
-                self.flush_buffer(t, monitor);
-                let value = self.mailboxes[t.index()]
-                    .pop_front()
-                    .expect("mailbox non-empty");
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = value;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::MailboxRecv);
-            }
-            Instr::AtomicLoad { dst, global, ord } => {
-                let value = self.exec_atomic_load(t, *global, *ord, monitor);
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = value;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-            }
-            Instr::AtomicStore { global, src, ord } => {
-                let value = operand(self.threads[t.index()].frame(), *src);
-                self.exec_atomic_store(t, *global, value, *ord, monitor);
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-            }
-            Instr::AtomicRmw {
-                dst,
-                global,
-                src,
-                ord,
-            } => {
-                let delta = operand(self.threads[t.index()].frame(), *src);
-                let old = self.exec_atomic_rmw(t, *global, delta, *ord, monitor);
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = old;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-            }
-            Instr::AtomicCas {
-                dst,
-                global,
-                expected,
-                desired,
-                ord,
-            } => {
-                let (expected, desired) = {
-                    let frame = self.threads[t.index()].frame();
-                    (operand(frame, *expected), operand(frame, *desired))
-                };
-                let old = self.exec_atomic_cas(t, *global, expected, desired, *ord, monitor);
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = old;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-            }
-            Instr::Yield => {
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-            }
-            Instr::Assert { cond, id } => {
-                let frame = self.threads[t.index()].frame();
-                let passed = operand(frame, *cond) != 0;
-                monitor.on_assert(t, *id, passed);
-                self.stats.instructions += 1;
-                if passed {
-                    self.threads[t.index()].frame_mut().ip += 1;
-                } else {
-                    self.outcome = Some(Outcome::AssertFailed {
-                        assert: *id,
-                        thread: t,
-                    });
-                }
-            }
-            Instr::Call {
-                dst,
-                func: callee,
-                args,
-            } => {
-                let frame = self.threads[t.index()].frame();
-                let argv: Vec<i64> = args.iter().map(|a| operand(frame, *a)).collect();
-                let callee_fn = program.function(*callee);
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                let mut new_frame =
-                    Frame::new(*callee, callee_fn.entry, callee_fn.locals.len(), &argv);
-                new_frame.ret_dst = *dst;
-                self.threads[t.index()].frames.push(new_frame);
-                monitor.on_func_enter(t, *callee);
-            }
-        }
-    }
-
-    fn exec_terminator(&mut self, t: ThreadId, func_id: FuncId, monitor: &mut dyn Monitor) {
-        let program = self.program;
-        let (block_id, term) = {
-            let frame = self.threads[t.index()].frame();
-            let block = program.function(frame.func).block(frame.block);
-            (frame.block, block.term.clone())
-        };
-        match term {
-            Terminator::Goto(target) => {
-                let frame = self.threads[t.index()].frame_mut();
-                frame.block = target;
-                frame.ip = 0;
-                monitor.on_edge(t, func_id, block_id, target);
-            }
-            Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                let frame = self.threads[t.index()].frame_mut();
-                let taken = if operand(frame, cond) != 0 {
-                    then_bb
-                } else {
-                    else_bb
-                };
-                frame.block = taken;
-                frame.ip = 0;
-                self.stats.branches += 1;
-                monitor.on_edge(t, func_id, block_id, taken);
-            }
-            Terminator::Return(value) => {
-                let ret = {
-                    let frame = self.threads[t.index()].frame();
-                    value.map(|op| operand(frame, op))
-                };
-                let popped = self.threads[t.index()].frames.pop().expect("frame exists");
-                monitor.on_func_exit(t, popped.func);
-                if self.threads[t.index()].frames.is_empty() {
-                    // Thread exit: flush buffered stores, wake joiners.
-                    self.flush_buffer(t, monitor);
-                    self.threads[t.index()].status = Status::Exited;
-                    for th in &mut self.threads {
-                        if th.status == Status::BlockedJoin(t) {
-                            th.status = Status::Runnable;
-                        }
-                    }
-                    monitor.on_thread_exit(t);
-                } else if let (Some(dst), Some(v)) = (popped.ret_dst, ret) {
-                    self.threads[t.index()].frame_mut().locals[dst.index()] = v;
                 }
             }
         }
@@ -3249,43 +2637,6 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_step_for_step() {
-        // The flat-bytecode interpreter must match the tree walker under
-        // identical schedules: same outcome, same stats (steps,
-        // instructions, branches, saps, drains), same memory.
-        let src = "global int x = 0; global int y = 0; mutex m; cond c;
-             global int ready = 0;
-             fn helper(n: int) { return n * 2; }
-             fn w() { let v: int = x; yield; x = v + 1; y = helper(v); }
-             fn waiter() { lock(m); while (ready == 0) { wait(c, m); } unlock(m); }
-             fn main() {
-                 let a: thread = fork w(); let b: thread = fork w();
-                 let t: thread = fork waiter();
-                 lock(m); ready = 1; signal(c); unlock(m);
-                 join a; join b; join t;
-             }";
-        let p = parse(src).unwrap();
-        for model in [MemModel::Sc, MemModel::Tso, MemModel::Pso] {
-            for seed in 0..40u64 {
-                let run_backend = |backend: Backend| {
-                    let mut vm = Vm::with_backend(&p, model, SharedSpec::All, backend);
-                    let mut sched = RandomScheduler::new(seed);
-                    let outcome = vm.run(&mut sched, &mut NullMonitor);
-                    let mem: Vec<i64> = (0..p.globals.len())
-                        .map(|g| vm.read_global(clap_ir::GlobalId::from(g), 0))
-                        .collect();
-                    (outcome, *vm.stats(), mem)
-                };
-                assert_eq!(
-                    run_backend(Backend::Tree),
-                    run_backend(Backend::Bytecode),
-                    "{model} seed {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn reset_equals_fresh_vm() {
         let p = parse(
             "global int x = 0; mutex m;
@@ -3310,61 +2661,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_transfer_across_backends() {
-        // A snapshot captured mid-run on one backend must restore into
-        // the other and finish identically: `pc` is re-derived on
-        // restore, `(func, block, ip)` is the portable coordinate.
-        let p = parse(
-            "global int x = 0;
-             fn w(n: int) { let i: int = 0; while (i < n) { x = x + 1; yield; i = i + 1; } }
-             fn main() { let a: thread = fork w(5); let b: thread = fork w(3); join a; join b; }",
-        )
-        .unwrap();
-        for (from, to) in [
-            (Backend::Tree, Backend::Bytecode),
-            (Backend::Bytecode, Backend::Tree),
-        ] {
-            let mut vm = Vm::with_backend(&p, MemModel::Tso, SharedSpec::All, from);
-            let mut sched = RandomScheduler::new(5);
-            for _ in 0..30 {
-                if vm.outcome().is_some() {
-                    break;
-                }
-                let actions = vm.enabled_actions();
-                if actions.is_empty() {
-                    break;
-                }
-                let i = sched.pick(&vm, &actions);
-                vm.step(actions[i], &mut NullMonitor);
-            }
-            let snap = vm.snapshot();
-            let finish = |backend: Backend| {
-                let mut vm = Vm::with_backend(&p, MemModel::Tso, SharedSpec::All, backend);
-                vm.restore(&snap);
-                let mut sched = RandomScheduler::new(77);
-                let o = vm.run(&mut sched, &mut NullMonitor);
-                (
-                    o,
-                    *vm.stats(),
-                    vm.read_global(p.global_by_name("x").unwrap(), 0),
-                )
-            };
-            assert_eq!(finish(from), finish(to), "{from} -> {to}");
-        }
-    }
-
-    #[test]
     fn with_compiled_shares_bytecode() {
         let p = parse("global int x = 0; fn main() { x = 1; }").unwrap();
         let vm = Vm::new(&p, MemModel::Sc);
         let compiled = Arc::clone(vm.compiled());
-        let mut vm2 = Vm::with_compiled(
-            &p,
-            compiled,
-            MemModel::Sc,
-            SharedSpec::All,
-            Backend::Bytecode,
-        );
+        let mut vm2 = Vm::with_compiled(&p, compiled, MemModel::Sc, SharedSpec::All);
         let o = vm2.run(&mut FifoScheduler, &mut NullMonitor);
         assert_eq!(o, Outcome::Completed);
         assert_eq!(vm2.read_global(p.global_by_name("x").unwrap(), 0), 1);
@@ -3386,16 +2687,10 @@ mod tests {
     #[test]
     fn forced_spin_ends_far_below_the_default_limit() {
         let p = parse("fn main() { while (true) { yield; } }").unwrap();
-        for backend in [Backend::Tree, Backend::Bytecode] {
-            let mut vm = Vm::with_backend(&p, MemModel::Sc, SharedSpec::All, backend);
-            let o = vm.run(&mut FifoScheduler, &mut NullMonitor);
-            assert_eq!(o, Outcome::StepLimit, "{backend}");
-            assert!(
-                vm.stats().steps < 2 * FORCED_WARMUP,
-                "{backend}: {:?}",
-                vm.stats()
-            );
-        }
+        let mut vm = Vm::new(&p, MemModel::Sc);
+        let o = vm.run(&mut FifoScheduler, &mut NullMonitor);
+        assert_eq!(o, Outcome::StepLimit);
+        assert!(vm.stats().steps < 2 * FORCED_WARMUP, "{:?}", vm.stats());
     }
 
     #[test]
@@ -3416,17 +2711,13 @@ mod tests {
         )
         .unwrap();
         for seed in 0..20 {
-            let run = |backend: Backend| {
-                let mut vm = Vm::with_backend(&p, MemModel::Tso, SharedSpec::All, backend);
-                vm.set_step_limit(2_000_000);
-                let o = vm.run(&mut RandomScheduler::new(seed), &mut NullMonitor);
-                assert_eq!(o, Outcome::StepLimit, "{backend} seed {seed}");
-                assert!(vm.buffer(ThreadId::MAIN).is_empty());
-                *vm.stats()
-            };
-            let tree = run(Backend::Tree);
-            assert!(tree.steps < 2 * FORCED_WARMUP, "seed {seed}: {tree:?}");
-            assert_eq!(tree, run(Backend::Bytecode), "seed {seed}");
+            let mut vm = Vm::new(&p, MemModel::Tso);
+            vm.set_step_limit(2_000_000);
+            let o = vm.run(&mut RandomScheduler::new(seed), &mut NullMonitor);
+            assert_eq!(o, Outcome::StepLimit, "seed {seed}");
+            assert!(vm.buffer(ThreadId::MAIN).is_empty());
+            let stats = vm.stats();
+            assert!(stats.steps < 2 * FORCED_WARMUP, "seed {seed}: {stats:?}");
         }
     }
 
@@ -3463,7 +2754,7 @@ mod tests {
         let changes: [Change; 13] = [
             ("memory", |s| s.memory[0] += 1),
             ("locals", |s| s.locals[0] += 1),
-            ("frame position", |s| s.frames[0].ip += 1),
+            ("frame position", |s| s.frames[0].pc += 1),
             ("status", |s| s.threads[0].status = Status::BlockedMailbox),
             ("forks", |s| s.threads[0].forks += 1),
             ("reacquire", |s| {
@@ -3546,23 +2837,20 @@ mod tests {
              fn main() { let i: int = 0; while (i < limit) { i = i + 1; } s = i; }",
         )
         .unwrap();
-        for backend in [Backend::Tree, Backend::Bytecode] {
-            let mut vm = Vm::with_backend(&p, MemModel::Sc, SharedSpec::All, backend);
-            let o = vm.run(&mut FifoScheduler, &mut NullMonitor);
-            assert_eq!(o, Outcome::Completed, "{backend}");
-            assert_eq!(
-                *vm.stats(),
-                ExecStats {
-                    instructions: 400_004,
-                    branches: 100_001,
-                    saps: 100_002,
-                    threads: 1,
-                    steps: 600_007,
-                    drains: 0,
-                },
-                "{backend}"
-            );
-        }
+        let mut vm = Vm::new(&p, MemModel::Sc);
+        let o = vm.run(&mut FifoScheduler, &mut NullMonitor);
+        assert_eq!(o, Outcome::Completed);
+        assert_eq!(
+            *vm.stats(),
+            ExecStats {
+                instructions: 400_004,
+                branches: 100_001,
+                saps: 100_002,
+                threads: 1,
+                steps: 600_007,
+                drains: 0,
+            }
+        );
     }
 
     #[test]
@@ -3576,18 +2864,16 @@ mod tests {
         )
         .unwrap();
         let spin = 100_000;
-        for backend in [Backend::Tree, Backend::Bytecode] {
-            let mut vm = Vm::with_backend(&p, MemModel::Sc, SharedSpec::All, backend);
-            let mut sched = crate::sched::FnScheduler(|vm: &Vm<'_>, actions: &[Action]| {
-                let main_first = vm.stats().steps < spin;
-                actions
-                    .iter()
-                    .position(|a| (a.thread() == ThreadId::MAIN) == main_first)
-                    .unwrap_or(0)
-            });
-            let o = vm.run(&mut sched, &mut NullMonitor);
-            assert_eq!(o, Outcome::Completed, "{backend}");
-            assert!(vm.stats().steps > spin, "{backend}: {:?}", vm.stats());
-        }
+        let mut vm = Vm::new(&p, MemModel::Sc);
+        let mut sched = crate::sched::FnScheduler(|vm: &Vm<'_>, actions: &[Action]| {
+            let main_first = vm.stats().steps < spin;
+            actions
+                .iter()
+                .position(|a| (a.thread() == ThreadId::MAIN) == main_first)
+                .unwrap_or(0)
+        });
+        let o = vm.run(&mut sched, &mut NullMonitor);
+        assert_eq!(o, Outcome::Completed);
+        assert!(vm.stats().steps > spin, "{:?}", vm.stats());
     }
 }
