@@ -242,7 +242,12 @@ fn full_queue_sheds_load_with_backpressure() {
     // budget (no failure to find), then fill the two queue slots.
     let mut stall = SubmitRequest::new(no_failure_program(0));
     stall.seed_budget = Some(100_000);
-    client.submit(&stall).unwrap();
+    let stall_job = client.submit(&stall).unwrap().job;
+    // The worker frees the stall job's queue slot when it takes the job;
+    // only then do both slots take a filler.
+    while client.status(stall_job).unwrap().state == JobState::Queued {
+        std::thread::yield_now();
+    }
     for tag in 1..=2 {
         let mut filler = SubmitRequest::new(no_failure_program(tag));
         filler.seed_budget = Some(50);
