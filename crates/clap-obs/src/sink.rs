@@ -377,6 +377,8 @@ pub const KNOWN_STRICT_METRICS: &[&str] = &[
     "check.oracle.bound_prunes",
     "check.oracle.deadlocks",
     "check.oracle.atomics",
+    "check.oracle.steps",
+    "check.oracle.scans",
     "check.oracle.snapshots",
     "check.oracle.restores",
     "solver.hb_edges",
