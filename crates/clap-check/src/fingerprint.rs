@@ -12,7 +12,7 @@
 use clap_ir::AssertId;
 use clap_vm::{AccessEvent, Lineage, Monitor, SyncEvent, ThreadId};
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 /// One canonical visible event. Addresses, mutexes and condvars are plain
 /// indices (stable across runs of the same program); threads are named by
@@ -343,6 +343,38 @@ impl Hash for FingerprintKey {
     }
 }
 
+/// The content hash of a [`FingerprintKey`]: one multiply-rotate step per
+/// field (the FxHash mix), where SipHash would run rounds over every field
+/// of every event. It is unkeyed, as `DefaultHasher::new()` is; the
+/// seen-set hashes this value again with its own keyed hasher, and key
+/// equality stays exact.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(byte.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
 /// A [`Monitor`] that records the visible-event sequence of a run and
 /// finalizes it into a [`Fingerprint`].
 ///
@@ -443,7 +475,7 @@ impl FingerprintMonitor {
         key.events
             .extend(self.events.iter().map(|e| e.map_threads(lineage_id)));
         key.assert = assert;
-        let mut hasher = DefaultHasher::new();
+        let mut hasher = WordHasher::default();
         key.events.hash(&mut hasher);
         assert.hash(&mut hasher);
         key.hash = hasher.finish();
