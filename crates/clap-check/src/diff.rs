@@ -15,7 +15,7 @@
 //! | reproduced | must be *in* the set when within bound | **hard** (oracle missed it) | OK (beyond bound) |
 //! | `NoFailureFound` | soft (record miss) | agree | agree |
 //! | `Unsat` (certified) | **hard** (false unsat) | **hard** (recorder found a failure the oracle denies) | soft |
-//! | `SearchExhausted` / `SolverBudget` | soft | soft | soft |
+//! | `SearchExhausted` / `SolverBudget` / `TraceTooLarge` | soft | soft | soft |
 //! | decode/symex/replay error | **hard** (pipeline broken) | **hard** | **hard** |
 
 use crate::fingerprint::FingerprintMonitor;
@@ -374,11 +374,13 @@ fn check_model(
                 }
             }
         }
-        Err(e @ (PipelineError::SearchExhausted | PipelineError::SolverBudget)) => {
-            Verdict::SolverInconclusive {
-                error: e.to_string(),
-            }
-        }
+        Err(
+            e @ (PipelineError::SearchExhausted
+            | PipelineError::SolverBudget
+            | PipelineError::TraceTooLarge { .. }),
+        ) => Verdict::SolverInconclusive {
+            error: e.to_string(),
+        },
         Err(e) => Verdict::PipelineBroken {
             error: e.to_string(),
         },

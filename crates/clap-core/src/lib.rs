@@ -201,6 +201,15 @@ pub enum PipelineError {
     SearchExhausted,
     /// The solver ran out of budget.
     SolverBudget,
+    /// The trace has more shared access points than the sequential
+    /// solver takes on ([`clap_solver::MAX_SAPS`]), and the chosen
+    /// solver runs it.
+    TraceTooLarge {
+        /// Shared access points in the trace.
+        saps: usize,
+        /// The sequential solver's bound.
+        limit: usize,
+    },
     /// The computed schedule did not replay.
     Replay(ReplayError),
 }
@@ -219,12 +228,28 @@ impl fmt::Display for PipelineError {
                  unsatisfiability (try larger bounds or the auto solver)"
             ),
             PipelineError::SolverBudget => write!(f, "solver budget exhausted"),
+            PipelineError::TraceTooLarge { saps, limit } => write!(
+                f,
+                "trace too large for the sequential solver: {saps} shared access points \
+                 (limit {limit}); try the parallel solver"
+            ),
             PipelineError::Replay(e) => write!(f, "replay: {e}"),
         }
     }
 }
 
 impl std::error::Error for PipelineError {}
+
+/// Refuses a trace of `saps` shared access points when `solver` runs the
+/// sequential solver (alone or in the portfolio) and the trace is over
+/// its [`clap_solver::MAX_SAPS`] bound.
+fn check_sequential_capacity(solver: &SolverChoice, saps: usize) -> Result<(), PipelineError> {
+    let limit = clap_solver::MAX_SAPS;
+    if saps > limit && !matches!(solver, SolverChoice::Parallel(_)) {
+        return Err(PipelineError::TraceTooLarge { saps, limit });
+    }
+    Ok(())
+}
 
 /// A recorded failing execution: what CLAP ships out of production.
 #[derive(Debug)]
@@ -471,6 +496,7 @@ impl Pipeline {
             .map_err(PipelineError::Symex)?
         };
         phases.symex = t.elapsed();
+        check_sequential_capacity(&config.solver, trace.sap_count())?;
 
         let t = Instant::now();
         let (system, stats) = {
@@ -687,6 +713,28 @@ mod tests {
         assert!(report.saps >= 9);
         assert!(report.constraints.total_clauses() > 0);
         assert!(report.log_bytes > 0);
+    }
+
+    #[test]
+    fn traces_over_the_sequential_bound_are_refused() {
+        let limit = clap_solver::MAX_SAPS;
+        let sequential = PipelineConfig::new(MemModel::Sc).solver;
+        let auto = PipelineConfig::new(MemModel::Sc)
+            .with_auto_solver(AutoConfig::default())
+            .solver;
+        let parallel = PipelineConfig::new(MemModel::Sc)
+            .with_parallel_solver(ParallelConfig::default())
+            .solver;
+        assert!(check_sequential_capacity(&sequential, limit).is_ok());
+        for solver in [&sequential, &auto] {
+            let err = check_sequential_capacity(solver, limit + 1).unwrap_err();
+            assert!(
+                matches!(err, PipelineError::TraceTooLarge { saps, .. } if saps == limit + 1),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("try the parallel solver"), "{err}");
+        }
+        assert!(check_sequential_capacity(&parallel, limit + 1).is_ok());
     }
 
     #[test]
