@@ -1,6 +1,7 @@
 //! Decomposes the VM's per-step cost: full run loop vs scheduler choice
-//! vs raw dispatch. A diagnostic aid for the `bench_vm`
-//! numbers, in the spirit of `dbgdead`/`dbgpar`.
+//! vs raw dispatch, plus how often the VM rebuilds its kept enabled-action
+//! set. A diagnostic aid for the `bench_vm` numbers, in the spirit of
+//! `dbgdead`/`dbgpar`.
 //!
 //! ```text
 //! dbgvm [workload] [seeds]
@@ -49,8 +50,20 @@ fn main() {
     }
     let reset_ns = t0.elapsed().as_nanos() as f64 / seeds as f64;
 
+    // The random sweep again under the step profile, untimed: how often
+    // a step changed the enabled set, so the VM had to rebuild it.
+    vm.enable_step_profile();
+    for seed in 0..seeds {
+        vm.reset();
+        let mut sched = RandomScheduler::with_stickiness(seed, 0.7);
+        vm.run(&mut sched, &mut NullMonitor);
+    }
+    let prof = vm.take_step_profile().expect("profiling was on");
+    let rebuilds_per_step = prof.rebuilds as f64 / prof.steps.max(1) as f64;
+
     println!(
         "{name}: random {random_ns:.1} ns/step ({steps} steps) | \
-         fifo {fifo_ns:.1} ns/step ({fifo_steps} steps) | reset {reset_ns:.0} ns/seed"
+         fifo {fifo_ns:.1} ns/step ({fifo_steps} steps) | reset {reset_ns:.0} ns/seed | \
+         rebuilds {rebuilds_per_step:.3}/step"
     );
 }

@@ -85,7 +85,7 @@ impl OracleConfig {
 #[derive(Debug, Clone)]
 pub struct FailingExecution {
     /// The scheduler-decision script that reproduces it: index `k` picks
-    /// the `k`-th entry of `Vm::enabled_actions` at step `k`. Feed it to
+    /// the `k`-th entry of `Vm::enabled` at step `k`. Feed it to
     /// [`clap_vm::ScriptScheduler`] to re-execute the interleaving.
     pub choices: Vec<u32>,
     /// Canonical identity of the execution.
@@ -241,8 +241,8 @@ struct Enumerator<'p, 'c> {
     key: FingerprintKey,
     report: OracleReport,
     stop: bool,
-    /// VM steps taken and enabled-set rebuilds, for the `check.oracle.*`
-    /// counters.
+    /// VM steps taken and reads of the enabled set, for the
+    /// `check.oracle.*` counters.
     steps: u64,
     scans: u64,
     /// VM snapshots taken (one per fork) and restored (one per fork
@@ -309,7 +309,8 @@ impl<'p, 'c> Enumerator<'p, 'c> {
                 self.count_leaf();
                 return;
             }
-            self.vm.enabled_actions_into(&mut buffers.actions);
+            buffers.actions.clear();
+            buffers.actions.extend_from_slice(self.vm.enabled());
             self.scans += 1;
             if buffers.actions.is_empty() {
                 self.terminal_leaf();
@@ -558,10 +559,10 @@ pub fn schedule_of_choices(
         if vm.outcome().is_some() {
             break;
         }
-        let actions = vm.enabled_actions();
-        let action = *actions
+        let enabled = vm.enabled();
+        let action = *enabled
             .get(c as usize)
-            .unwrap_or_else(|| panic!("choice {c} out of range ({} enabled)", actions.len()));
+            .unwrap_or_else(|| panic!("choice {c} out of range ({} enabled)", enabled.len()));
         match action {
             Action::Step(t) => {
                 let lineage = vm.thread(t).lineage.clone();

@@ -276,7 +276,8 @@ pub struct WorkerAttribution {
     pub claim: Duration,
     /// Per-seed VM reset.
     pub restore: Duration,
-    /// Enabled-action set rebuilds inside the VM step loop.
+    /// Reading the enabled-action set inside the VM step loop, rebuilds
+    /// included.
     pub rebuild: Duration,
     /// Scheduler picks + instruction execution + recorder callbacks.
     pub step: Duration,

@@ -56,6 +56,7 @@ impl FailureContext {
             panic!("FailureContext requires an assert-failed outcome");
         };
         let failing = vm.thread(thread).lineage.clone();
+        let compiled = vm.compiled();
         let mut stops = HashMap::new();
         for t in vm.threads() {
             if t.status == Status::Exited {
@@ -64,7 +65,11 @@ impl FailureContext {
             stops.insert(
                 t.lineage.clone(),
                 ThreadStop {
-                    frame_ips: t.frames.iter().map(|f| f.ip).collect(),
+                    frame_ips: t
+                        .frames
+                        .iter()
+                        .map(|f| compiled.info(f.pc).ip as usize)
+                        .collect(),
                     wait_released: t.waiting_reacquire.is_some(),
                 },
             );

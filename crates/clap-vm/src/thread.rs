@@ -1,6 +1,6 @@
 //! Thread state: call frames, lineage-based canonical identity, run status.
 
-use clap_ir::{BlockId, ChanId, CondId, FuncId, LocalId, MutexId};
+use clap_ir::{ChanId, CondId, FuncId, LocalId, MutexId};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -160,27 +160,23 @@ pub struct Frame {
     pub func: FuncId,
     /// Local slots (parameters first), zero-initialized.
     pub locals: Vec<i64>,
-    /// Current block.
-    pub block: BlockId,
-    /// Index of the next instruction within the block.
-    pub ip: usize,
     /// Where the caller wants the return value, if anywhere.
     pub ret_dst: Option<LocalId>,
-    /// Flat-bytecode address of the next op (see [`crate::bytecode`]);
-    /// `block` and `ip` are its coordinates in the CFG.
+    /// Flat-bytecode address of the next op (see [`crate::bytecode`]), the
+    /// frame's only position: [`crate::CompiledProgram::info`] maps it to
+    /// its `(block, ip)` coordinates in the CFG.
     pub pc: u32,
 }
 
 impl Frame {
-    /// Creates a frame at the entry of `func` with the given arguments.
-    pub fn new(func: FuncId, entry: BlockId, locals_len: usize, args: &[i64]) -> Self {
+    /// Creates a frame for `func` with the given arguments; the caller
+    /// sets `pc` to the function's entry.
+    pub fn new(func: FuncId, locals_len: usize, args: &[i64]) -> Self {
         let mut locals = vec![0i64; locals_len];
         locals[..args.len()].copy_from_slice(args);
         Frame {
             func,
             locals,
-            block: entry,
-            ip: 0,
             ret_dst: None,
             pc: 0,
         }
@@ -387,7 +383,7 @@ mod tests {
 
     #[test]
     fn frame_initializes_args() {
-        let f = Frame::new(FuncId(0), BlockId(0), 4, &[7, 8]);
+        let f = Frame::new(FuncId(0), 4, &[7, 8]);
         assert_eq!(f.locals, vec![7, 8, 0, 0]);
     }
 
@@ -396,7 +392,7 @@ mod tests {
         let mut t = Thread::new(
             ThreadId::MAIN,
             Lineage::main(),
-            Frame::new(FuncId(0), BlockId(0), 0, &[]),
+            Frame::new(FuncId(0), 0, &[]),
         );
         assert!(t.is_runnable());
         t.status = Status::BlockedJoin(ThreadId(1));

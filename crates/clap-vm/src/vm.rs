@@ -3,15 +3,18 @@
 //!
 //! Execution proceeds in *steps*. Each step either advances one runnable
 //! thread by one instruction/terminator, or drains one buffered store to
-//! memory (TSO/PSO). The set of enabled steps is recomputed after every
-//! step, so a scheduler sees every interleaving point — including the
+//! memory (TSO/PSO). A scheduler picks every step from the set of enabled
+//! steps, so it sees every interleaving point — including the
 //! relaxed-memory visibility points that make Dekker-style algorithms fail
-//! under TSO/PSO.
+//! under TSO/PSO. That set depends only on thread statuses and store
+//! buffers, so the VM keeps it between steps and rebuilds it only after a
+//! step that changed one of them (see [`Vm::enabled`]).
 //!
 //! Each thread step executes one op of the program's flat bytecode (see
-//! [`crate::bytecode`]), fetched by the frame's absolute `pc`. The frame
-//! also tracks the op's `(block, ip)` coordinates, which CFG-edge events
-//! and the symbolic executor's failure context read.
+//! [`crate::bytecode`]), fetched by the frame's absolute `pc`, the frame's
+//! only position: CFG-edge events and the symbolic executor's failure
+//! context derive `(block, ip)` coordinates from it with
+//! [`CompiledProgram::info`].
 
 use crate::bytecode::{CompiledProgram, Op, Rv};
 use crate::mem::{Addr, BufferedStore, Layout, MemModel, Memory, StoreBuffer};
@@ -20,8 +23,8 @@ use crate::sched::{Action, Scheduler};
 use crate::stats::ExecStats;
 use crate::thread::{Frame, Lineage, Status, Thread, ThreadId};
 use clap_ir::{
-    eval_binop, eval_unop, AssertId, AtomicOrd, BlockId, ChanId, CondId, FuncId, GlobalId, LocalId,
-    MutexId, Operand, Program,
+    eval_binop, eval_unop, AssertId, AtomicOrd, ChanId, CondId, FuncId, GlobalId, LocalId, MutexId,
+    Operand, Program,
 };
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -218,7 +221,7 @@ struct ThreadImage {
     store_len: u32,
 }
 
-/// Flattened activation record; restore derives `(block, ip)` from `pc`.
+/// Flattened activation record.
 #[derive(Debug, Clone, Copy)]
 struct FrameImage {
     func: FuncId,
@@ -242,15 +245,18 @@ impl Snapshot {
 
 /// Wall-time attribution of the [`Vm::run`] inner loop, accumulated
 /// while profiling is on (see [`Vm::enable_step_profile`]). The loop has
-/// exactly three phases per scheduler decision — rebuild the enabled
-/// action set, ask the scheduler to pick, execute the choice — and the
-/// profile splits wall time across them. Accumulates across runs (and
-/// across [`Vm::reset`]) until taken, which is what a sweep worker wants:
-/// one profile covering every seed it ran.
+/// exactly three phases per scheduler decision — bring the enabled
+/// action set up to date, ask the scheduler to pick, execute the choice —
+/// and the profile splits wall time across them. Accumulates across runs
+/// (and across [`Vm::reset`]) until taken, which is what a sweep worker
+/// wants: one profile covering every seed it ran.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepProfile {
-    /// Rebuilding the enabled-action set after each step.
+    /// Reading the enabled-action set, rebuilds included.
     pub rebuild: Duration,
+    /// Reads that had to rebuild the set because the step before changed
+    /// it (the rest reuse the kept set).
+    pub rebuilds: u64,
     /// Inside `scheduler.pick` (RNG draws, stickiness logic).
     pub pick: Duration,
     /// Executing the chosen action (instruction step or buffer drain),
@@ -285,9 +291,12 @@ pub struct Vm<'p> {
     outcome: Option<Outcome>,
     step_limit: u64,
     announced_main: bool,
-    /// Reused by [`Vm::run`] across steps (and across runs of the same
-    /// VM) so the enabled-action scan stops allocating per step.
-    actions_scratch: Vec<Action>,
+    /// The enabled-action set, kept between steps: [`Vm::run`] and
+    /// [`Vm::enabled`] rebuild it only when `enabled_dirty` is set.
+    enabled: Vec<Action>,
+    /// Set wherever the state the enabled set depends on changes: a
+    /// thread's status, the thread list, or a store buffer's contents.
+    enabled_dirty: bool,
     /// `Some` while step profiling is on; [`Vm::run`] accumulates into it.
     step_profile: Option<StepProfile>,
     /// [`Vm::run`]'s forced-cycle detector, kept between runs so its
@@ -384,7 +393,7 @@ impl<'p> Vm<'p> {
         let layout = Layout::new(program);
         let memory = Memory::new(program, &layout);
         let main_fn = program.function(program.main);
-        let mut frame = Frame::new(program.main, main_fn.entry, main_fn.locals.len(), &[]);
+        let mut frame = Frame::new(program.main, main_fn.locals.len(), &[]);
         frame.pc = compiled.func(program.main).entry;
         let main = Thread::new(ThreadId::MAIN, Lineage::main(), frame);
         let stats = ExecStats {
@@ -412,7 +421,8 @@ impl<'p> Vm<'p> {
             outcome: None,
             step_limit: 200_000_000,
             announced_main: false,
-            actions_scratch: Vec::new(),
+            enabled: Vec::new(),
+            enabled_dirty: true,
             step_profile: None,
             forced_cycle: ForcedCycle::default(),
         }
@@ -489,19 +499,38 @@ impl<'p> Vm<'p> {
         self.memory.read(addr)
     }
 
-    /// The currently enabled actions.
+    /// The currently enabled actions, built afresh.
     pub fn enabled_actions(&self) -> Vec<Action> {
         let mut actions = Vec::new();
         self.fill_enabled_actions(&mut actions);
         actions
     }
 
-    /// [`Vm::enabled_actions`] into a caller-owned buffer (cleared
-    /// first): the allocation-free variant for enumeration loops that
-    /// query the enabled set every step.
-    pub fn enabled_actions_into(&self, out: &mut Vec<Action>) {
-        out.clear();
-        self.fill_enabled_actions(out);
+    /// The currently enabled actions (same order as
+    /// [`Vm::enabled_actions`]) from the set the VM keeps between steps:
+    /// rebuilt only when a step since the last read changed a thread's
+    /// status, the thread list or a store buffer, which is all the set
+    /// depends on. The everyday read for loops that query the set every
+    /// step.
+    pub fn enabled(&mut self) -> &[Action] {
+        let mut actions = std::mem::take(&mut self.enabled);
+        self.refresh_enabled(&mut actions);
+        self.enabled = actions;
+        &self.enabled
+    }
+
+    /// Brings `actions`, the kept enabled set moved out of the VM, up to
+    /// date; `true` when that took a rebuild. Debug builds check the
+    /// result against a fresh rebuild on every call.
+    fn refresh_enabled(&mut self, actions: &mut Vec<Action>) -> bool {
+        let rebuilt = self.enabled_dirty;
+        if rebuilt {
+            actions.clear();
+            self.fill_enabled_actions(actions);
+            self.enabled_dirty = false;
+        }
+        debug_assert_eq!(*actions, self.enabled_actions(), "stale enabled set");
+        rebuilt
     }
 
     /// Appends the enabled actions to `out` (same order as
@@ -839,9 +868,10 @@ impl<'p> Vm<'p> {
             monitor.on_thread_start(ThreadId::MAIN, &lineage, self.program.main);
             monitor.on_func_enter(ThreadId::MAIN, self.program.main);
         }
-        // Move the scratch buffers into locals so `scheduler.pick(self, …)`
-        // can borrow the whole VM; put them back on every exit path.
-        let mut actions = std::mem::take(&mut self.actions_scratch);
+        // Move the kept enabled set and the cycle detector into locals so
+        // `scheduler.pick(self, …)` can borrow the whole VM; put them back
+        // on every exit path.
+        let mut actions = std::mem::take(&mut self.enabled);
         let mut forced = std::mem::take(&mut self.forced_cycle);
         forced.steps = 0;
         // The profiled loop pays three timer pairs per decision; the
@@ -852,11 +882,11 @@ impl<'p> Vm<'p> {
                 break outcome.clone();
             }
             let t = profiling.then(Instant::now);
-            actions.clear();
-            self.fill_enabled_actions(&mut actions);
+            let rebuilt = self.refresh_enabled(&mut actions);
             if let Some(t) = t {
                 let p = self.step_profile.as_mut().expect("profiling is on");
                 p.rebuild += t.elapsed();
+                p.rebuilds += u64::from(rebuilt);
             }
             if actions.is_empty() {
                 let all_exited = self.threads.iter().all(|t| t.status == Status::Exited);
@@ -895,7 +925,7 @@ impl<'p> Vm<'p> {
                 p.exec += t0.elapsed();
             }
         };
-        self.actions_scratch = actions;
+        self.enabled = actions;
         self.forced_cycle = forced;
         outcome
     }
@@ -1062,10 +1092,7 @@ impl<'p> Vm<'p> {
             let stores = &snapshot.stores
                 [img.store_start as usize..(img.store_start + img.store_len) as usize];
             let restore_frame = |fr: &mut Frame, fi: &FrameImage| {
-                let at = self.compiled.info(fi.pc);
                 fr.func = fi.func;
-                fr.block = at.block;
-                fr.ip = at.ip as usize;
                 fr.pc = fi.pc;
                 fr.ret_dst = fi.ret_dst;
                 fr.locals.clear();
@@ -1087,7 +1114,7 @@ impl<'p> Vm<'p> {
                     if j < th.frames.len() {
                         restore_frame(&mut th.frames[j], fi);
                     } else {
-                        let mut fr = Frame::new(fi.func, BlockId(0), 0, &[]);
+                        let mut fr = Frame::new(fi.func, 0, &[]);
                         restore_frame(&mut fr, fi);
                         th.frames.push(fr);
                     }
@@ -1096,14 +1123,14 @@ impl<'p> Vm<'p> {
             } else {
                 let mut new_frames = Vec::with_capacity(frames.len());
                 for fi in frames {
-                    let mut fr = Frame::new(fi.func, BlockId(0), 0, &[]);
+                    let mut fr = Frame::new(fi.func, 0, &[]);
                     restore_frame(&mut fr, fi);
                     new_frames.push(fr);
                 }
                 let mut th = Thread::new(
                     img.id,
                     Lineage::from_components(lineage),
-                    Frame::new(FuncId(0), BlockId(0), 0, &[]),
+                    Frame::new(FuncId(0), 0, &[]),
                 );
                 th.frames = new_frames;
                 th.status = img.status;
@@ -1154,6 +1181,7 @@ impl<'p> Vm<'p> {
         self.stats = snapshot.stats;
         self.announced_main = snapshot.announced_main;
         self.outcome = None;
+        self.enabled_dirty = true;
     }
 
     /// Like [`Vm::restore`], but consumes the snapshot (a one-shot
@@ -1185,17 +1213,11 @@ impl<'p> Vm<'p> {
         th.lineage.assign(&[0]); // Lineage::main()
         th.frames.truncate(1);
         if th.frames.is_empty() {
-            th.frames.push(Frame::new(
-                self.program.main,
-                main_fn.entry,
-                main_fn.locals.len(),
-                &[],
-            ));
+            th.frames
+                .push(Frame::new(self.program.main, main_fn.locals.len(), &[]));
         } else {
             let fr = &mut th.frames[0];
             fr.func = self.program.main;
-            fr.block = main_fn.entry;
-            fr.ip = 0;
             fr.ret_dst = None;
             fr.locals.clear();
             fr.locals.resize(main_fn.locals.len(), 0);
@@ -1222,6 +1244,7 @@ impl<'p> Vm<'p> {
         };
         self.outcome = None;
         self.announced_main = false;
+        self.enabled_dirty = true;
     }
 
     /// Performs one action directly — caller-driven execution for tools
@@ -1240,6 +1263,7 @@ impl<'p> Vm<'p> {
             .drainable(self.model)
             .contains(&addr));
         if let Some(store) = self.buffers[t.index()].drain_addr(addr) {
+            self.enabled_dirty = true;
             self.memory.write(store.addr, store.value);
             self.stats.drains += 1;
             monitor.on_commit(t, store.addr, store.value);
@@ -1247,6 +1271,10 @@ impl<'p> Vm<'p> {
     }
 
     fn flush_buffer(&mut self, t: ThreadId, monitor: &mut dyn Monitor) {
+        if self.buffers[t.index()].is_empty() {
+            return;
+        }
+        self.enabled_dirty = true;
         for store in self.buffers[t.index()].flush() {
             self.memory.write(store.addr, store.value);
             self.stats.drains += 1;
@@ -1269,6 +1297,7 @@ impl<'p> Vm<'p> {
                 .map(|s| s.addr)
                 .expect("buffer non-empty");
             let store = self.buffers[ti].drain_addr(front).expect("front drains");
+            self.enabled_dirty = true;
             self.memory.write(store.addr, store.value);
             self.stats.drains += 1;
             monitor.on_commit(t, store.addr, store.value);
@@ -1344,6 +1373,7 @@ impl<'p> Vm<'p> {
                 po_index,
                 release: ord == AtomicOrd::Release,
             });
+            self.enabled_dirty = true;
         } else {
             self.flush_buffer(t, monitor);
             self.memory.write(addr, value);
@@ -1456,6 +1486,7 @@ impl<'p> Vm<'p> {
         for th in &mut self.threads {
             if th.status == Status::BlockedLock(mutex) {
                 th.status = Status::Runnable;
+                self.enabled_dirty = true;
             }
         }
     }
@@ -1469,6 +1500,7 @@ impl<'p> Vm<'p> {
         for th in &mut self.threads {
             if th.status == Status::BlockedSend(chan) {
                 th.status = Status::Runnable;
+                self.enabled_dirty = true;
             }
         }
     }
@@ -1479,6 +1511,7 @@ impl<'p> Vm<'p> {
         for th in &mut self.threads {
             if th.status == Status::BlockedRecv(chan) {
                 th.status = Status::Runnable;
+                self.enabled_dirty = true;
             }
         }
     }
@@ -1499,7 +1532,6 @@ impl<'p> Vm<'p> {
                     Rv::Binary(op, a, b) => eval_binop(op, operand(frame, a), operand(frame, b)),
                 };
                 frame.locals[dst.index()] = value;
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
             }
@@ -1521,7 +1553,6 @@ impl<'p> Vm<'p> {
                 };
                 let frame = self.threads[ti].frame_mut();
                 frame.locals[dst.index()] = value;
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 if shared {
@@ -1549,7 +1580,6 @@ impl<'p> Vm<'p> {
                 };
                 let shared = self.is_shared(global);
                 let frame = self.threads[ti].frame_mut();
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 if shared {
@@ -1561,6 +1591,7 @@ impl<'p> Vm<'p> {
                             po_index,
                             release: false,
                         });
+                        self.enabled_dirty = true;
                     } else {
                         self.memory.write(addr, value);
                         monitor.on_commit(t, addr, value);
@@ -1584,13 +1615,13 @@ impl<'p> Vm<'p> {
                     self.flush_buffer(t, monitor);
                     self.mutex_owner[m.index()] = Some(t);
                     let frame = self.threads[ti].frame_mut();
-                    frame.ip += 1;
                     frame.pc += 1;
                     self.stats.instructions += 1;
                     self.take_sap(t);
                     monitor.on_sync(t, &SyncEvent::Lock(m));
                 } else {
                     self.threads[ti].status = Status::BlockedLock(m);
+                    self.enabled_dirty = true;
                 }
             }
             Op::Unlock(m) => {
@@ -1603,7 +1634,6 @@ impl<'p> Vm<'p> {
                 self.mutex_owner[m.index()] = None;
                 self.wake_lock_waiters(m);
                 let frame = self.threads[ti].frame_mut();
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 self.take_sap(t);
@@ -1628,17 +1658,16 @@ impl<'p> Vm<'p> {
                 let lineage = parent.lineage.child(parent.forks);
                 let child = ThreadId::from(self.threads.len());
                 let meta = self.compiled.func(callee);
-                let entry_block = self.compiled.info(meta.entry).block;
-                let mut child_frame = Frame::new(callee, entry_block, meta.locals as usize, &argv);
+                let mut child_frame = Frame::new(callee, meta.locals as usize, &argv);
                 child_frame.pc = meta.entry;
                 self.threads
                     .push(Thread::new(child, lineage.clone(), child_frame));
                 self.buffers.push(StoreBuffer::default());
                 self.mailboxes.push(VecDeque::new());
+                self.enabled_dirty = true;
                 self.stats.threads += 1;
                 let frame = self.threads[ti].frame_mut();
                 frame.locals[dst.index()] = child.0 as i64;
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 self.take_sap(t);
@@ -1656,13 +1685,13 @@ impl<'p> Vm<'p> {
                 if self.threads[target.index()].status == Status::Exited {
                     self.flush_buffer(t, monitor);
                     let frame = self.threads[ti].frame_mut();
-                    frame.ip += 1;
                     frame.pc += 1;
                     self.stats.instructions += 1;
                     self.take_sap(t);
                     monitor.on_sync(t, &SyncEvent::Join(target));
                 } else {
                     self.threads[ti].status = Status::BlockedJoin(target);
+                    self.enabled_dirty = true;
                 }
             }
             Op::Wait { cond, mutex } => {
@@ -1673,13 +1702,13 @@ impl<'p> Vm<'p> {
                         let thread = &mut self.threads[ti];
                         thread.waiting_reacquire = None;
                         let frame = thread.frame_mut();
-                        frame.ip += 1;
                         frame.pc += 1;
                         self.stats.instructions += 1;
                         self.take_sap(t);
                         monitor.on_sync(t, &SyncEvent::Wait(cond, m));
                     } else {
                         self.threads[ti].status = Status::BlockedLock(m);
+                        self.enabled_dirty = true;
                     }
                 } else {
                     // Phase 1: release the mutex and park.
@@ -1694,6 +1723,7 @@ impl<'p> Vm<'p> {
                     let thread = &mut self.threads[ti];
                     thread.status = Status::BlockedWait(cond);
                     thread.waiting_reacquire = Some(mutex);
+                    self.enabled_dirty = true;
                     self.cond_queue[cond.index()].push_back(t);
                     self.stats.instructions += 1;
                     self.take_sap(t);
@@ -1703,9 +1733,9 @@ impl<'p> Vm<'p> {
             Op::Signal(c) => {
                 if let Some(waiter) = self.cond_queue[c.index()].pop_front() {
                     self.threads[waiter.index()].status = Status::Runnable;
+                    self.enabled_dirty = true;
                 }
                 let frame = self.threads[ti].frame_mut();
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 self.take_sap(t);
@@ -1714,9 +1744,9 @@ impl<'p> Vm<'p> {
             Op::Broadcast(c) => {
                 while let Some(waiter) = self.cond_queue[c.index()].pop_front() {
                     self.threads[waiter.index()].status = Status::Runnable;
+                    self.enabled_dirty = true;
                 }
                 let frame = self.threads[ti].frame_mut();
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 self.take_sap(t);
@@ -1725,6 +1755,7 @@ impl<'p> Vm<'p> {
             Op::Send { chan, src } => {
                 if !self.chan_send_ready(t, chan) {
                     self.threads[ti].status = Status::BlockedSend(chan);
+                    self.enabled_dirty = true;
                     return;
                 }
                 let value = operand(self.threads[ti].frame(), src);
@@ -1736,7 +1767,6 @@ impl<'p> Vm<'p> {
                 // Closed channel: the value is silently dropped — the
                 // "lost close" failure mode the asserts observe.
                 let frame = self.threads[ti].frame_mut();
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 self.take_sap(t);
@@ -1745,6 +1775,7 @@ impl<'p> Vm<'p> {
             Op::Recv { dst, chan } => {
                 if !self.chan_recv_ready(chan) {
                     self.threads[ti].status = Status::BlockedRecv(chan);
+                    self.enabled_dirty = true;
                     // A parked receiver is a rendezvous partner: let
                     // capacity-0 senders recontend.
                     self.wake_chan_senders(chan);
@@ -1760,7 +1791,6 @@ impl<'p> Vm<'p> {
                 };
                 let frame = self.threads[ti].frame_mut();
                 frame.locals[dst.index()] = value;
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 self.take_sap(t);
@@ -1786,7 +1816,6 @@ impl<'p> Vm<'p> {
                 };
                 let frame = self.threads[ti].frame_mut();
                 frame.locals[dst.index()] = ok as i64;
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 self.take_sap(t);
@@ -1803,7 +1832,6 @@ impl<'p> Vm<'p> {
                 };
                 let frame = self.threads[ti].frame_mut();
                 frame.locals[dst.index()] = value;
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 self.take_sap(t);
@@ -1815,7 +1843,6 @@ impl<'p> Vm<'p> {
                 self.wake_chan_senders(c);
                 self.wake_chan_receivers(c);
                 let frame = self.threads[ti].frame_mut();
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 self.take_sap(t);
@@ -1840,17 +1867,16 @@ impl<'p> Vm<'p> {
                 let lineage = parent.lineage.child(parent.forks);
                 let child = ThreadId::from(self.threads.len());
                 let meta = self.compiled.func(callee);
-                let entry_block = self.compiled.info(meta.entry).block;
-                let mut child_frame = Frame::new(callee, entry_block, meta.locals as usize, &argv);
+                let mut child_frame = Frame::new(callee, meta.locals as usize, &argv);
                 child_frame.pc = meta.entry;
                 self.threads
                     .push(Thread::new(child, lineage.clone(), child_frame));
                 self.buffers.push(StoreBuffer::default());
                 self.mailboxes.push(VecDeque::new());
+                self.enabled_dirty = true;
                 self.stats.threads += 1;
                 let frame = self.threads[ti].frame_mut();
                 frame.locals[dst.index()] = child.0 as i64;
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 self.take_sap(t);
@@ -1872,11 +1898,11 @@ impl<'p> Vm<'p> {
                     self.mailboxes[target.index()].push_back(value);
                     if self.threads[target.index()].status == Status::BlockedMailbox {
                         self.threads[target.index()].status = Status::Runnable;
+                        self.enabled_dirty = true;
                     }
                 }
                 // Dead letter: a message to an exited thread is dropped.
                 let frame = self.threads[ti].frame_mut();
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 self.take_sap(t);
@@ -1885,13 +1911,13 @@ impl<'p> Vm<'p> {
             Op::MailboxRecv { dst } => {
                 if self.mailboxes[ti].is_empty() {
                     self.threads[ti].status = Status::BlockedMailbox;
+                    self.enabled_dirty = true;
                     return;
                 }
                 self.flush_buffer(t, monitor);
                 let value = self.mailboxes[ti].pop_front().expect("mailbox non-empty");
                 let frame = self.threads[ti].frame_mut();
                 frame.locals[dst.index()] = value;
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 self.take_sap(t);
@@ -1901,7 +1927,6 @@ impl<'p> Vm<'p> {
                 let value = self.exec_atomic_load(t, global, ord, monitor);
                 let frame = self.threads[ti].frame_mut();
                 frame.locals[dst.index()] = value;
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
             }
@@ -1909,7 +1934,6 @@ impl<'p> Vm<'p> {
                 let value = operand(self.threads[ti].frame(), src);
                 self.exec_atomic_store(t, global, value, ord, monitor);
                 let frame = self.threads[ti].frame_mut();
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
             }
@@ -1923,7 +1947,6 @@ impl<'p> Vm<'p> {
                 let old = self.exec_atomic_rmw(t, global, delta, ord, monitor);
                 let frame = self.threads[ti].frame_mut();
                 frame.locals[dst.index()] = old;
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
             }
@@ -1941,13 +1964,11 @@ impl<'p> Vm<'p> {
                 let old = self.exec_atomic_cas(t, global, expected, desired, ord, monitor);
                 let frame = self.threads[ti].frame_mut();
                 frame.locals[dst.index()] = old;
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
             }
             Op::Yield => {
                 let frame = self.threads[ti].frame_mut();
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
             }
@@ -1957,7 +1978,6 @@ impl<'p> Vm<'p> {
                 self.stats.instructions += 1;
                 if passed {
                     let frame = self.threads[ti].frame_mut();
-                    frame.ip += 1;
                     frame.pc += 1;
                 } else {
                     self.outcome = Some(Outcome::AssertFailed {
@@ -1980,24 +2000,20 @@ impl<'p> Vm<'p> {
                         .collect()
                 };
                 let frame = self.threads[ti].frame_mut();
-                frame.ip += 1;
                 frame.pc += 1;
                 self.stats.instructions += 1;
                 let meta = self.compiled.func(callee);
-                let entry_block = self.compiled.info(meta.entry).block;
-                let mut new_frame = Frame::new(callee, entry_block, meta.locals as usize, &argv);
+                let mut new_frame = Frame::new(callee, meta.locals as usize, &argv);
                 new_frame.pc = meta.entry;
                 new_frame.ret_dst = dst;
                 self.threads[ti].frames.push(new_frame);
                 monitor.on_func_enter(t, callee);
             }
             Op::Jump { target } => {
-                let to = self.compiled.info[target as usize].block;
+                let from = self.compiled.info(pc).block;
+                let to = self.compiled.info(target).block;
                 let frame = self.threads[ti].frame_mut();
                 let func = frame.func;
-                let from = frame.block;
-                frame.block = to;
-                frame.ip = 0;
                 frame.pc = target;
                 monitor.on_edge(t, func, from, to);
             }
@@ -2011,12 +2027,10 @@ impl<'p> Vm<'p> {
                 } else {
                     else_pc
                 };
-                let to = self.compiled.info[target as usize].block;
+                let from = self.compiled.info(pc).block;
+                let to = self.compiled.info(target).block;
                 let frame = self.threads[ti].frame_mut();
                 let func = frame.func;
-                let from = frame.block;
-                frame.block = to;
-                frame.ip = 0;
                 frame.pc = target;
                 self.stats.branches += 1;
                 monitor.on_edge(t, func, from, to);
@@ -2029,6 +2043,7 @@ impl<'p> Vm<'p> {
                     // Thread exit: flush buffered stores, wake joiners.
                     self.flush_buffer(t, monitor);
                     self.threads[ti].status = Status::Exited;
+                    self.enabled_dirty = true;
                     for th in &mut self.threads {
                         if th.status == Status::BlockedJoin(t) {
                             th.status = Status::Runnable;
@@ -2851,6 +2866,248 @@ mod tests {
                 drains: 0,
             }
         );
+    }
+
+    /// `true` when the kept enabled set equals a fresh rebuild.
+    fn kept_set_is_fresh(vm: &mut Vm<'_>) -> bool {
+        let fresh = vm.enabled_actions();
+        vm.enabled() == fresh
+    }
+
+    /// Takes `action`, then checks the kept enabled set.
+    fn step_checked(vm: &mut Vm<'_>, action: Action) {
+        vm.step(action, &mut NullMonitor);
+        assert!(kept_set_is_fresh(vm), "stale after {action:?}");
+    }
+
+    /// Steps thread `t` until `done` holds, checking the kept enabled set
+    /// after every step.
+    fn step_until(vm: &mut Vm<'_>, t: u32, done: impl Fn(&Vm<'_>) -> bool) {
+        for _ in 0..100 {
+            if done(vm) {
+                return;
+            }
+            step_checked(vm, Action::Step(ThreadId(t)));
+        }
+        panic!("t{t} never got there");
+    }
+
+    /// Takes the first enabled action until none is left, checking the
+    /// kept enabled set after every step; the run must complete.
+    fn finish_checked(vm: &mut Vm<'_>) {
+        while let Some(&action) = vm.enabled().first() {
+            step_checked(vm, action);
+            assert_eq!(vm.outcome(), None);
+        }
+        assert!(vm.threads().iter().all(|t| t.status == Status::Exited));
+    }
+
+    fn status(vm: &Vm<'_>, t: u32) -> Status {
+        vm.thread(ThreadId(t)).status
+    }
+
+    /// A fresh VM whose kept enabled set has been read once, so the next
+    /// step starts from a clean set.
+    fn checked_vm(p: &Program, model: MemModel) -> Vm<'_> {
+        let mut vm = Vm::new(p, model);
+        assert!(kept_set_is_fresh(&mut vm));
+        vm
+    }
+
+    #[test]
+    fn kept_enabled_set_follows_locks_forks_and_joins() {
+        let p = parse(
+            "mutex m;
+             fn w() { lock(m); unlock(m); }
+             fn main() { lock(m); let a: thread = fork w(); yield; unlock(m); join a; }",
+        )
+        .unwrap();
+        let m = MutexId(0);
+        let mut vm = checked_vm(&p, MemModel::Sc);
+        // Fork adds a thread.
+        step_until(&mut vm, 0, |vm| vm.threads().len() == 2);
+        // A lock that blocks, then the unlock that wakes it.
+        step_until(&mut vm, 1, |vm| status(vm, 1) == Status::BlockedLock(m));
+        step_until(&mut vm, 0, |vm| status(vm, 1) == Status::Runnable);
+        // A join on a live thread, then the exit that wakes it.
+        step_until(&mut vm, 0, |vm| {
+            status(vm, 0) == Status::BlockedJoin(ThreadId(1))
+        });
+        step_until(&mut vm, 1, |vm| status(vm, 0) == Status::Runnable);
+        assert_eq!(status(&vm, 1), Status::Exited);
+        finish_checked(&mut vm);
+    }
+
+    #[test]
+    fn kept_enabled_set_follows_wait_signal_and_broadcast() {
+        let p = parse(
+            "global int go = 0; mutex m; cond c;
+             fn waiter() { lock(m); while (go == 0) { wait(c, m); } unlock(m); }
+             fn main() {
+                 let a: thread = fork waiter(); let b: thread = fork waiter();
+                 lock(m); go = 1; signal(c); broadcast(c); unlock(m);
+                 join a; join b;
+             }",
+        )
+        .unwrap();
+        let (m, c) = (MutexId(0), CondId(0));
+        let mut vm = checked_vm(&p, MemModel::Sc);
+        step_until(&mut vm, 0, |vm| vm.threads().len() == 3);
+        // Each wait releases the mutex and parks.
+        step_until(&mut vm, 1, |vm| status(vm, 1) == Status::BlockedWait(c));
+        step_until(&mut vm, 2, |vm| status(vm, 2) == Status::BlockedWait(c));
+        // The signal wakes the first waiter, whose reacquisition blocks on
+        // the mutex main holds.
+        step_until(&mut vm, 0, |vm| status(vm, 1) == Status::Runnable);
+        step_until(&mut vm, 1, |vm| status(vm, 1) == Status::BlockedLock(m));
+        // The broadcast wakes the second, the unlock the first.
+        step_until(&mut vm, 0, |vm| status(vm, 2) == Status::Runnable);
+        step_until(&mut vm, 0, |vm| status(vm, 1) == Status::Runnable);
+        finish_checked(&mut vm);
+    }
+
+    #[test]
+    fn kept_enabled_set_follows_channels_and_mailboxes() {
+        let p = parse(
+            "chan c0(0); chan c1(1);
+             fn r0() { yield; let v: int = recv(c0); }
+             fn r1() { let v: int = recv(c1); let w: int = recv(c1); }
+             fn actor() { let v: int = mailbox_recv(); }
+             fn main() {
+                 let a: thread = fork r0(); let b: thread = fork r1();
+                 let k: thread = spawn_actor actor();
+                 send(c0, 1);
+                 yield; mailbox_send(k, 7);
+                 send(c1, 1); send(c1, 2); send(c1, 3);
+                 join a; join b; join k;
+             }",
+        )
+        .unwrap();
+        let (c0, c1) = (ChanId(0), ChanId(1));
+        let mut vm = checked_vm(&p, MemModel::Sc);
+        step_until(&mut vm, 0, |vm| vm.threads().len() == 4);
+        // Capacity 0: the send blocks with no receiver at its `recv`; the
+        // receiver's recv blocks and wakes it; the send then completes
+        // and wakes the receiver.
+        step_until(&mut vm, 0, |vm| status(vm, 0) == Status::BlockedSend(c0));
+        step_until(&mut vm, 1, |vm| status(vm, 1) == Status::BlockedRecv(c0));
+        assert_eq!(status(&vm, 0), Status::Runnable);
+        step_until(&mut vm, 0, |vm| status(vm, 1) == Status::Runnable);
+        step_until(&mut vm, 1, |vm| status(vm, 1) == Status::Exited);
+        // A mailbox recv blocks, and the send wakes it.
+        step_until(&mut vm, 3, |vm| status(vm, 3) == Status::BlockedMailbox);
+        step_until(&mut vm, 0, |vm| status(vm, 3) == Status::Runnable);
+        // Capacity 1: a recv on the empty channel blocks and a send wakes
+        // it; a send to the full channel blocks and a recv wakes it.
+        step_until(&mut vm, 2, |vm| status(vm, 2) == Status::BlockedRecv(c1));
+        step_until(&mut vm, 0, |vm| status(vm, 2) == Status::Runnable);
+        step_until(&mut vm, 0, |vm| status(vm, 0) == Status::BlockedSend(c1));
+        step_until(&mut vm, 2, |vm| status(vm, 0) == Status::Runnable);
+        finish_checked(&mut vm);
+    }
+
+    #[test]
+    fn kept_enabled_set_follows_store_buffers() {
+        let drains = |vm: &mut Vm<'_>| {
+            vm.enabled()
+                .iter()
+                .filter(|a| matches!(a, Action::Drain(..)))
+                .count()
+        };
+        let drain_last = |vm: &mut Vm<'_>| {
+            let last = *vm.enabled().last().expect("an action");
+            assert!(matches!(last, Action::Drain(..)), "{last:?}");
+            step_checked(vm, last);
+        };
+        let p = parse("global int x = 0; global int y = 0; fn main() { x = 1; y = 2; }").unwrap();
+        let main = ThreadId::MAIN;
+        for (model, after_pushes) in [(MemModel::Tso, 1), (MemModel::Pso, 2)] {
+            let mut vm = checked_vm(&p, model);
+            // Two buffered pushes.
+            step_until(&mut vm, 0, |vm| vm.buffered_store_count(main) == 2);
+            assert_eq!(drains(&mut vm), after_pushes, "{model}");
+            // Drains, youngest first where the model allows it.
+            drain_last(&mut vm);
+            drain_last(&mut vm);
+            assert_eq!(drains(&mut vm), 0, "{model}");
+            finish_checked(&mut vm);
+        }
+
+        // C11: a release store is gated behind the earlier relaxed one
+        // until that one drains.
+        let p = parse(
+            "atomic int d = 0; atomic int f = 0;
+             fn main() { store(d, 1, relaxed); store(f, 1, release); }",
+        )
+        .unwrap();
+        let mut vm = checked_vm(&p, MemModel::C11);
+        step_until(&mut vm, 0, |vm| vm.buffered_store_count(main) == 2);
+        assert_eq!(drains(&mut vm), 1);
+        drain_last(&mut vm);
+        assert_eq!(drains(&mut vm), 1, "the release store drains next");
+        finish_checked(&mut vm);
+    }
+
+    #[test]
+    fn kept_enabled_set_follows_fence_flushes() {
+        let main = ThreadId::MAIN;
+        // A lock flushes the whole buffer; so does the exit after a store.
+        let p = parse(
+            "global int x = 0; mutex m;
+             fn main() { x = 1; lock(m); unlock(m); x = 2; }",
+        )
+        .unwrap();
+        let mut vm = checked_vm(&p, MemModel::Tso);
+        step_until(&mut vm, 0, |vm| vm.buffered_store_count(main) == 1);
+        step_until(&mut vm, 0, |vm| vm.buffered_store_count(main) == 0);
+        step_until(&mut vm, 0, |vm| vm.buffered_store_count(main) == 1);
+        step_until(&mut vm, 0, |vm| status(vm, 0) == Status::Exited);
+        assert_eq!(vm.buffered_store_count(main), 0);
+
+        // Under C11 a relaxed RMW flushes only through its own location; a
+        // seq_cst store flushes everything.
+        let p = parse(
+            "atomic int a = 0; atomic int b = 0;
+             fn main() {
+                 store(a, 1, relaxed); store(b, 1, relaxed);
+                 let o: int = fetch_add(a, 1, relaxed);
+                 store(a, 3, seq_cst);
+             }",
+        )
+        .unwrap();
+        let mut vm = checked_vm(&p, MemModel::C11);
+        step_until(&mut vm, 0, |vm| vm.buffered_store_count(main) == 2);
+        step_until(&mut vm, 0, |vm| vm.buffered_store_count(main) == 1);
+        step_until(&mut vm, 0, |vm| vm.buffered_store_count(main) == 0);
+        finish_checked(&mut vm);
+    }
+
+    #[test]
+    fn kept_enabled_set_follows_reset_and_restore() {
+        let p = parse(
+            "global int x = 0; mutex m;
+             fn w() { lock(m); x = 1; unlock(m); }
+             fn main() { lock(m); let a: thread = fork w(); x = 2; unlock(m); join a; }",
+        )
+        .unwrap();
+        let mut vm = checked_vm(&p, MemModel::Tso);
+        let start = vm.snapshot();
+        step_until(&mut vm, 0, |vm| vm.threads().len() == 2);
+        let forked = vm.snapshot();
+        step_until(&mut vm, 1, |vm| status(vm, 1) != Status::Runnable);
+        step_until(&mut vm, 0, |vm| {
+            vm.buffered_store_count(ThreadId::MAIN) == 1
+        });
+        let set = vm.enabled().to_vec();
+        for snap in [&forked, &start, &forked] {
+            vm.restore(snap);
+            assert!(kept_set_is_fresh(&mut vm));
+            assert_ne!(vm.enabled(), set);
+        }
+        vm.reset();
+        assert!(kept_set_is_fresh(&mut vm));
+        assert_eq!(vm.enabled(), [Action::Step(ThreadId::MAIN)]);
+        finish_checked(&mut vm);
     }
 
     #[test]
