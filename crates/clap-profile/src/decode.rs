@@ -172,7 +172,7 @@ fn decode_thread(
                 match next_header {
                     Some(h) => {
                         top.seg_start = h;
-                        top.seg_init = *bl.header_init.get(&h).ok_or_else(|| {
+                        top.seg_init = bl.header_init(h).ok_or_else(|| {
                             DecodeError::BadPath(format!("no header init for {h}"))
                         })?;
                     }
