@@ -12,7 +12,10 @@
 //! (default 25, sized for CI runner noise) is a regression, and a cell
 //! that vanished from the new artifact counts as a failure too — a
 //! benchmark that stops running hides regressions. With `--check` any
-//! failure exits nonzero.
+//! failure exits nonzero. A paired cell whose work count (`steps` of a
+//! vm cell, `work` of a pipeline cell) changed exits nonzero even
+//! without `--check`: work is deterministic, so no runner noise excuses
+//! it.
 
 use clap_bench::diff::diff;
 use clap_bench::split_obs_args;
@@ -70,6 +73,13 @@ fn main() {
     }
     if let Err(e) = observer.flush() {
         eprintln!("clap-obs: failed to write sink: {e}");
+    }
+    if d.work_changes() > 0 {
+        eprintln!(
+            "benchdiff: {} cell(s) changed their work count",
+            d.work_changes()
+        );
+        std::process::exit(1);
     }
     if check && d.has_failures() {
         eprintln!(

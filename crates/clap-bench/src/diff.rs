@@ -8,6 +8,11 @@
 //! [`DiffStatus::Removed`] — and a gate failure: a benchmark that
 //! silently stops running is indistinguishable from a regression nobody
 //! can see. New cells are [`DiffStatus::Added`] and benign.
+//!
+//! The vm and pipeline cells also carry the work they did (`steps`,
+//! `work`). Those counts are deterministic, so a paired cell whose work
+//! differs at all is a failure whatever the margin: the two runs did not
+//! do the same thing, and their times do not compare.
 
 use clap_obs::json::{self, Value};
 use std::collections::BTreeMap;
@@ -21,6 +26,8 @@ struct CellSpec {
     key_fields: &'static [&'static str],
     /// The lower-is-better measurement field.
     metric: &'static str,
+    /// The deterministic work-count field, compared exactly.
+    work: Option<&'static str>,
 }
 
 /// The four bench trajectories the repo commits. `bench_serve` emits
@@ -31,21 +38,25 @@ const CELL_SPECS: [CellSpec; 4] = [
         event: "bench.explore.cell",
         key_fields: &["workload", "seed_budget", "workers"],
         metric: "millis",
+        work: None,
     },
     CellSpec {
         event: "bench.vm.cell",
         key_fields: &["workload", "phase"],
         metric: "millis",
+        work: Some("steps"),
     },
     CellSpec {
         event: "bench.pipeline.cell",
         key_fields: &["workload", "phase"],
         metric: "millis",
+        work: Some("work"),
     },
     CellSpec {
         event: "bench.serve.cell",
         key_fields: &["program", "phase"],
         metric: "latency_us",
+        work: None,
     },
 ];
 
@@ -94,6 +105,17 @@ pub struct CellDiff {
     pub delta_pct: Option<f64>,
     /// The verdict under the configured margin.
     pub status: DiffStatus,
+    /// The work count in the old and the new artifact, for families that
+    /// carry one.
+    pub work: (Option<u64>, Option<u64>),
+}
+
+impl CellDiff {
+    /// Both artifacts carry the cell and its work counts differ: a gate
+    /// failure whatever the margin.
+    pub fn work_changed(&self) -> bool {
+        matches!(self.work, (Some(old), Some(new)) if old != new)
+    }
 }
 
 /// A full two-artifact comparison.
@@ -121,13 +143,19 @@ impl BenchDiff {
         self.count(DiffStatus::Removed)
     }
 
+    /// Paired cells whose work counts differ.
+    pub fn work_changes(&self) -> usize {
+        self.cells.iter().filter(|c| c.work_changed()).count()
+    }
+
     fn count(&self, status: DiffStatus) -> usize {
         self.cells.iter().filter(|c| c.status == status).count()
     }
 
-    /// Whether `--check` should fail: any regressed or removed cell.
+    /// Whether `--check` should fail: any regressed or removed cell, or
+    /// any work change.
     pub fn has_failures(&self) -> bool {
-        self.regressions() > 0 || self.removed() > 0
+        self.regressions() > 0 || self.removed() > 0 || self.work_changes() > 0
     }
 
     /// The per-cell delta table as GitHub-flavored markdown.
@@ -141,30 +169,32 @@ impl BenchDiff {
             "Benchmark delta: `{old_name}` → `{new_name}` (noise margin ±{:.0}%)\n",
             self.margin_pct
         );
-        let _ = writeln!(out, "| bench | cell | old | new | delta% | status |");
-        let _ = writeln!(out, "|---|---|---:|---:|---:|---|");
+        let _ = writeln!(out, "| bench | cell | old | new | delta% | status | work |");
+        let _ = writeln!(out, "|---|---|---:|---:|---:|---|---:|");
         for c in &self.cells {
             let delta = c
                 .delta_pct
                 .map_or_else(|| "-".into(), |d| format!("{d:+.1}"));
             let _ = writeln!(
                 out,
-                "| {} | {} | {} | {} | {} | {} |",
+                "| {} | {} | {} | {} | {} | {} | {} |",
                 c.bench,
                 c.key,
                 num(c.old),
                 num(c.new),
                 delta,
-                c.status.label()
+                c.status.label(),
+                work_label(c.work)
             );
         }
         let _ = writeln!(
             out,
-            "\n{} cells: {} regressed, {} improved, {} removed.",
+            "\n{} cells: {} regressed, {} improved, {} removed, {} with changed work.",
             self.cells.len(),
             self.regressions(),
             self.improvements(),
-            self.removed()
+            self.removed(),
+            self.work_changes()
         );
         out
     }
@@ -182,6 +212,7 @@ impl BenchDiff {
                 ("cells", self.cells.len().to_string()),
                 ("regressions", self.regressions().to_string()),
                 ("improvements", self.improvements().to_string()),
+                ("work_changes", self.work_changes().to_string()),
             ],
         );
         for c in &self.cells {
@@ -199,19 +230,38 @@ impl BenchDiff {
                             .map_or_else(|| "-".into(), |d| format!("{d:+.1}")),
                     ),
                     ("status", c.status.label().to_owned()),
+                    ("work", work_label(c.work)),
                 ],
             );
         }
     }
 }
 
+/// A cell's work column: the count when both sides agree (or only one
+/// side has the cell), `old→new` when they differ, `-` for families
+/// without one.
+fn work_label(work: (Option<u64>, Option<u64>)) -> String {
+    match work {
+        (Some(old), Some(new)) if old != new => format!("{old}→{new}"),
+        (Some(w), _) | (None, Some(w)) => w.to_string(),
+        (None, None) => "-".into(),
+    }
+}
+
+/// One cell's samples in one artifact.
+#[derive(Debug, Default)]
+struct Samples {
+    metric: Vec<f64>,
+    work: Option<u64>,
+}
+
 /// Extracts every benchmark cell from one JSONL artifact:
 /// `(family, key) → samples`. Lines that are not cell events (meta,
 /// other events, histograms) are skipped; a cell event with a
-/// non-numeric metric is an error — that is a corrupt artifact, not
-/// noise.
-fn parse_cells(jsonl: &str) -> Result<BTreeMap<(String, String), Vec<f64>>, String> {
-    let mut cells: BTreeMap<(String, String), Vec<f64>> = BTreeMap::new();
+/// non-numeric metric or work count, or whose samples disagree on the
+/// work count, is an error — that is a corrupt artifact, not noise.
+fn parse_cells(jsonl: &str) -> Result<BTreeMap<(String, String), Samples>, String> {
+    let mut cells: BTreeMap<(String, String), Samples> = BTreeMap::new();
     for (i, line) in jsonl.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -251,10 +301,27 @@ fn parse_cells(jsonl: &str) -> Result<BTreeMap<(String, String), Vec<f64>>, Stri
                     spec.metric
                 )
             })?;
-        cells
-            .entry((name.to_owned(), key))
-            .or_default()
-            .push(metric);
+        let work = match spec.work {
+            Some(field) => Some(
+                fields
+                    .get(field)
+                    .and_then(Value::as_str)
+                    .and_then(|s| s.parse::<u64>().ok())
+                    .ok_or_else(|| {
+                        format!("line {}: {name} without integer {field:?} field", i + 1)
+                    })?,
+            ),
+            None => None,
+        };
+        let cell = cells.entry((name.to_owned(), key)).or_default();
+        if !cell.metric.is_empty() && cell.work != work {
+            return Err(format!(
+                "line {}: {name} samples of one cell disagree on their work",
+                i + 1
+            ));
+        }
+        cell.metric.push(metric);
+        cell.work = work;
     }
     Ok(cells)
 }
@@ -277,8 +344,8 @@ pub fn diff(old_jsonl: &str, new_jsonl: &str, margin_pct: f64) -> Result<BenchDi
     keys.dedup();
     let mut cells = Vec::with_capacity(keys.len());
     for k in keys {
-        let old_mean = old.get(k).map(|s| mean(s));
-        let new_mean = new.get(k).map(|s| mean(s));
+        let old_mean = old.get(k).map(|s| mean(&s.metric));
+        let new_mean = new.get(k).map(|s| mean(&s.metric));
         let (delta_pct, status) = match (old_mean, new_mean) {
             (Some(o), Some(n)) => {
                 let delta = if o == 0.0 { 0.0 } else { 100.0 * (n - o) / o };
@@ -302,6 +369,10 @@ pub fn diff(old_jsonl: &str, new_jsonl: &str, margin_pct: f64) -> Result<BenchDi
             new: new_mean,
             delta_pct,
             status,
+            work: (
+                old.get(k).and_then(|s| s.work),
+                new.get(k).and_then(|s| s.work),
+            ),
         });
     }
     Ok(BenchDiff { margin_pct, cells })
@@ -311,20 +382,29 @@ pub fn diff(old_jsonl: &str, new_jsonl: &str, margin_pct: f64) -> Result<BenchDi
 mod tests {
     use super::*;
 
-    fn artifact(cells: &[(&str, &str, f64)]) -> String {
+    /// Cell events with the given work count where the family has one.
+    fn artifact_with_work(cells: &[(&str, &str, f64, u64)]) -> String {
         let mut out = String::new();
-        for (name, keyval, metric) in cells {
+        for (name, keyval, metric, work) in cells {
             let spec = CELL_SPECS.iter().find(|s| s.event == *name).unwrap();
             let mut fields = String::new();
             for (f, v) in spec.key_fields.iter().zip(keyval.split(' ')) {
                 let _ = write!(fields, "\"{f}\":\"{v}\",");
             }
             let _ = write!(fields, "\"{}\":\"{metric}\"", spec.metric);
+            if let Some(f) = spec.work {
+                let _ = write!(fields, ",\"{f}\":\"{work}\"");
+            }
             out.push_str(&format!(
                 "{{\"type\":\"event\",\"name\":\"{name}\",\"tid\":0,\"ts_ns\":1,\"fields\":{{{fields}}}}}\n"
             ));
         }
         out
+    }
+
+    fn artifact(cells: &[(&str, &str, f64)]) -> String {
+        let cells: Vec<_> = cells.iter().map(|&(n, k, m)| (n, k, m, 100)).collect();
+        artifact_with_work(&cells)
     }
 
     #[test]
@@ -421,6 +501,62 @@ mod tests {
         assert!(md.contains("| workload=sim_race phase=sweep |"));
         assert!(md.contains("regressed"));
         assert!(md.contains("1 regressed"));
+    }
+
+    #[test]
+    fn changed_work_fails_whatever_the_margin() {
+        let old = artifact_with_work(&[
+            ("bench.vm.cell", "sim_race sweep", 1.0, 17936),
+            ("bench.vm.cell", "sim_race oracle", 9.0, 3000),
+            ("bench.pipeline.cell", "pfscan solve", 6.0, 40),
+            ("bench.explore.cell", "sim_race 400 2", 1.0, 0),
+        ]);
+        let new = artifact_with_work(&[
+            ("bench.vm.cell", "sim_race sweep", 0.5, 17936),
+            ("bench.vm.cell", "sim_race oracle", 9.0, 3001),
+            ("bench.pipeline.cell", "pfscan solve", 6.0, 39),
+            ("bench.explore.cell", "sim_race 400 2", 1.0, 0),
+        ]);
+        assert!(!diff(&old, &old, 25.0).unwrap().has_failures());
+        for margin in [25.0, 1e9] {
+            let d = diff(&old, &new, margin).unwrap();
+            assert_eq!(d.regressions(), 0);
+            assert_eq!(d.work_changes(), 2);
+            assert!(d.has_failures());
+            let changed: Vec<&str> = d
+                .cells
+                .iter()
+                .filter(|c| c.work_changed())
+                .map(|c| c.key.as_str())
+                .collect();
+            assert_eq!(
+                changed,
+                [
+                    "workload=pfscan phase=solve",
+                    "workload=sim_race phase=oracle"
+                ]
+            );
+        }
+        let d = diff(&old, &new, 25.0).unwrap();
+        let md = d.render_markdown("a.jsonl", "b.jsonl");
+        assert!(md.contains("| 3000→3001 |"), "{md}");
+        assert!(md.contains("| 17936 |"), "{md}");
+        assert!(md.contains("2 with changed work"), "{md}");
+        // Families without a work count never compare one.
+        let explore = d.cells.iter().find(|c| c.bench == "bench.explore.cell");
+        assert_eq!(explore.unwrap().work, (None, None));
+    }
+
+    #[test]
+    fn missing_or_inconsistent_work_is_an_error() {
+        let no_steps = "{\"type\":\"event\",\"name\":\"bench.vm.cell\",\"tid\":0,\"ts_ns\":1,\
+                        \"fields\":{\"workload\":\"w\",\"phase\":\"p\",\"millis\":\"1.0\"}}\n";
+        assert!(diff(no_steps, no_steps, 25.0).is_err());
+        let split = artifact_with_work(&[
+            ("bench.pipeline.cell", "pfscan solve", 6.0, 40),
+            ("bench.pipeline.cell", "pfscan solve", 6.0, 41),
+        ]);
+        assert!(diff(&split, &split, 25.0).is_err());
     }
 
     #[test]

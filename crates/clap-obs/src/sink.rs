@@ -276,11 +276,12 @@ pub const EVENT_FIELD_SCHEMA: &[(&str, &[&str])] = &[
             "cells",
             "regressions",
             "improvements",
+            "work_changes",
         ],
     ),
     (
         "bench.diff.cell",
-        &["bench", "key", "old", "new", "delta_pct", "status"],
+        &["bench", "key", "old", "new", "delta_pct", "status", "work"],
     ),
     (
         "bench.table1.row",
