@@ -219,7 +219,6 @@ fn attempt_outcome_from_str(s: &str) -> Result<AttemptOutcome, String> {
         "budget" => AttemptOutcome::Budget,
         "unsat" => AttemptOutcome::Unsat,
         "timeout" => AttemptOutcome::Timeout,
-        "cancelled" => AttemptOutcome::Cancelled,
         other => return Err(format!("unknown attempt outcome `{other}`")),
     })
 }
@@ -477,5 +476,18 @@ mod tests {
         assert!(ReproductionReport::from_json("not json").is_err());
         assert!(ReproductionReport::from_json("{}").is_err());
         assert!(ReproductionReport::from_json(r#"{"version":99}"#).is_err());
+
+        // An attempt outcome the portfolio no longer produces is an error,
+        // not a panic.
+        let pipeline = Pipeline::from_source(LOST_UPDATE).unwrap();
+        let json = pipeline
+            .reproduce(&PipelineConfig::new(MemModel::Sc))
+            .unwrap()
+            .to_json();
+        let found = r#""outcome":"found""#;
+        assert!(json.contains(found), "{json}");
+        let cancelled = json.replacen(found, r#""outcome":"cancelled""#, 1);
+        let err = ReproductionReport::from_json(&cancelled).unwrap_err();
+        assert!(err.contains("cancelled"), "{err}");
     }
 }

@@ -57,7 +57,6 @@ pub struct Generator<'a, 't> {
     nodes: u64,
     node_budget: u64,
     deadline: Option<std::time::Instant>,
-    cancel: Option<&'a std::sync::atomic::AtomicBool>,
     out_of_budget: bool,
     /// Prefix pruning: abandon a partial schedule the moment a path
     /// condition or lock rule is violated (massive search-space cut; the
@@ -250,7 +249,6 @@ impl<'a, 't> Generator<'a, 't> {
             nodes: 0,
             node_budget: 0,
             deadline: None,
-            cancel: None,
             out_of_budget: false,
             prune: None,
         }
@@ -264,12 +262,6 @@ impl<'a, 't> Generator<'a, 't> {
     /// Sets a wall-clock deadline checked periodically during the DFS.
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.deadline = deadline;
-    }
-
-    /// Sets a cooperative cancellation flag checked periodically during
-    /// the DFS (same cadence as the deadline).
-    pub fn set_cancel(&mut self, cancel: Option<&'a std::sync::atomic::AtomicBool>) {
-        self.cancel = cancel;
     }
 
     /// `true` when a node budget or deadline stopped the last run early.
@@ -475,12 +467,6 @@ impl<'a, 't> Generator<'a, 't> {
                 return false;
             }
             if self.nodes.is_multiple_of(8192) {
-                if let Some(c) = self.cancel {
-                    if c.load(std::sync::atomic::Ordering::Relaxed) {
-                        self.out_of_budget = true;
-                        return false;
-                    }
-                }
                 if let Some(d) = self.deadline {
                     if std::time::Instant::now() >= d {
                         self.out_of_budget = true;

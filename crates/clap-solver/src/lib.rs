@@ -13,9 +13,7 @@ pub mod ordergraph;
 pub mod solver;
 
 pub use ordergraph::OrderGraph;
-pub use solver::{
-    solve, solve_cancellable, Solution, SolveOutcome, SolveStats, SolverConfig, MAX_SAPS,
-};
+pub use solver::{solve, Solution, SolveOutcome, SolveStats, SolverConfig, MAX_SAPS};
 
 #[cfg(test)]
 mod tests {

@@ -24,7 +24,6 @@ use crate::ordergraph::OrderGraph;
 use clap_constraints::{validate, ConstraintSystem, ReadSource, Schedule, Witness};
 use clap_ir::Program;
 use clap_symex::{ExprId, SapId, SymVarId};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// The most shared access points the sequential solver takes on. Its
@@ -78,9 +77,9 @@ impl SolveOutcome {
 
 /// Solver limits.
 ///
-/// The wall-clock budget is a [`Duration`], anchored when [`solve`] (or
-/// [`solve_cancellable`]) is entered — not when the config is built — so
-/// time spent in earlier pipeline phases never eats the solve budget.
+/// The wall-clock budget is a [`Duration`], anchored when [`solve`] is
+/// entered — not when the config is built — so time spent in earlier
+/// pipeline phases never eats the solve budget.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolverConfig {
     /// Wall-clock budget for this solve call (`None` = unbounded).
@@ -95,23 +94,8 @@ pub fn solve(
     system: &ConstraintSystem<'_>,
     config: SolverConfig,
 ) -> SolveOutcome {
-    solve_cancellable(program, system, config, None)
-}
-
-/// [`solve`] with a cooperative cancellation hook: when `cancel` is set by
-/// another thread (e.g. a portfolio race partner that already found a
-/// schedule), the search stops at the next decision and returns
-/// [`SolveOutcome::Timeout`] — cancellation is a budget event, never an
-/// unsatisfiability claim.
-pub fn solve_cancellable(
-    program: &Program,
-    system: &ConstraintSystem<'_>,
-    config: SolverConfig,
-    cancel: Option<&AtomicBool>,
-) -> SolveOutcome {
     let mut search = Search::new(program, system, config);
     search.deadline = config.timeout.map(|t| Instant::now() + t);
-    search.cancel = cancel;
     let mut outcome = search.run();
     // Soundness valve: the channel/mailbox encoding is incomplete — the
     // try_send/try_recv result variables are grounded only by the
@@ -208,8 +192,6 @@ struct Search<'p, 'a, 't> {
     config: SolverConfig,
     /// Wall-clock deadline, anchored at solve entry from `config.timeout`.
     deadline: Option<Instant>,
-    /// External cooperative stop flag (portfolio racing).
-    cancel: Option<&'p AtomicBool>,
     graph: OrderGraph,
     assignment: Vec<Option<i64>>,
     assign_trail: Vec<SymVarId>,
@@ -243,7 +225,6 @@ impl<'p, 'a, 't> Search<'p, 'a, 't> {
             sys,
             config,
             deadline: None,
-            cancel: None,
             graph: OrderGraph::new(sys.trace.sap_count()),
             assignment: vec![None; sys.trace.sym_vars.len()],
             assign_trail: Vec::new(),
@@ -806,11 +787,6 @@ impl<'p, 'a, 't> Search<'p, 'a, 't> {
     fn out_of_budget(&self) -> bool {
         if self.config.max_decisions > 0 && self.stats.decisions >= self.config.max_decisions {
             return true;
-        }
-        if let Some(cancel) = self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return true;
-            }
         }
         if let Some(deadline) = self.deadline {
             // Checking time every decision is cheap relative to search.
