@@ -331,8 +331,7 @@ fn check_model(
                     let fp = mon.fingerprint(Some(recorded.assert));
                     let switches = fp.switches();
                     if oracle.complete_within_bound() && switches <= config.max_preemptions {
-                        let member = oracle.failing.iter().any(|f| f.fingerprint == fp);
-                        if member {
+                        if oracle.contains(&fp) {
                             Verdict::Sound {
                                 oracle_member: Some(true),
                                 switches,

@@ -240,7 +240,7 @@ fn oracle_summary(program: &Program, model: MemModel) -> String {
             failing.preemptions,
             failing.letters(),
             failing.choices,
-            failing.fingerprint,
+            failing.fingerprint(),
         ));
     }
     out
