@@ -138,17 +138,25 @@ pub fn solver_for(program: &Program, timeout: Duration) -> SolverChoice {
 }
 
 /// One Table 2 row: recording overhead and log size, native vs LEAP vs
-/// CLAP, averaged over `iterations` runs of the same seeded execution.
+/// CLAP, from rounds of the same seeded execution run under each.
 #[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Workload name.
     pub name: String,
-    /// Mean native run time (no instrumentation).
+    /// Rounds measured (one native, one LEAP and one CLAP run each).
+    pub rounds: u32,
+    /// Median native run time (no instrumentation).
     pub native: Duration,
-    /// Mean run time with the LEAP recorder.
+    /// Median run time with the LEAP recorder.
     pub leap: Duration,
-    /// Mean run time with the CLAP path recorder.
+    /// Median run time with the CLAP path recorder.
     pub clap: Duration,
+    /// Interquartile range of the per-round LEAP overhead, in
+    /// percentage points.
+    pub leap_spread_pct: f64,
+    /// Interquartile range of the per-round CLAP overhead, in
+    /// percentage points.
+    pub clap_spread_pct: f64,
     /// LEAP log size in bytes.
     pub leap_bytes: usize,
     /// CLAP log size in bytes.
@@ -156,14 +164,25 @@ pub struct Table2Row {
 }
 
 impl Table2Row {
-    /// LEAP overhead over native, in percent.
+    /// LEAP overhead of the median over the native median, in percent.
     pub fn leap_overhead_pct(&self) -> f64 {
         overhead_pct(self.native, self.leap)
     }
 
-    /// CLAP overhead over native, in percent.
+    /// CLAP overhead of the median over the native median, in percent.
     pub fn clap_overhead_pct(&self) -> f64 {
         overhead_pct(self.native, self.clap)
+    }
+
+    /// Whether the LEAP overhead is no larger than its per-round spread,
+    /// i.e. not resolved from zero by this measurement.
+    pub fn leap_within_spread(&self) -> bool {
+        self.leap_overhead_pct().abs() <= self.leap_spread_pct
+    }
+
+    /// Whether the CLAP overhead is no larger than its per-round spread.
+    pub fn clap_within_spread(&self) -> bool {
+        self.clap_overhead_pct().abs() <= self.clap_spread_pct
     }
 
     /// Runtime-overhead reduction of CLAP vs LEAP, in percent.
@@ -193,10 +212,43 @@ fn overhead_pct(native: Duration, instrumented: Duration) -> f64 {
     100.0 * (instrumented.as_secs_f64() - n) / n
 }
 
+/// The least wall time [`table2_row`] spends measuring one row.
+pub const TABLE2_ROW_TIME: Duration = Duration::from_millis(200);
+
+/// The `q`-quantile of `sorted` (linear interpolation between ranks).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+fn median(mut times: Vec<Duration>) -> Duration {
+    times.sort_unstable();
+    let secs: Vec<f64> = times.iter().map(Duration::as_secs_f64).collect();
+    Duration::from_secs_f64(quantile(&secs, 0.5))
+}
+
+/// The interquartile range of the per-round overheads of `instrumented`
+/// over `native`, in percentage points.
+fn overhead_spread(native: &[Duration], instrumented: &[Duration]) -> f64 {
+    let mut ovh: Vec<f64> = native
+        .iter()
+        .zip(instrumented)
+        .map(|(&n, &i)| overhead_pct(n, i))
+        .collect();
+    ovh.sort_by(f64::total_cmp);
+    quantile(&ovh, 0.75) - quantile(&ovh, 0.25)
+}
+
 /// Measures a workload's recording overhead (Table 2). The same seed and
 /// stickiness drive all three configurations, so the executions are
-/// identical modulo instrumentation; `iterations` runs are averaged.
-pub fn table2_row(workload: &Workload, iterations: u32) -> Table2Row {
+/// identical modulo instrumentation. The runs are interleaved round by
+/// round (native, LEAP and CLAP once each, in an order that rotates every
+/// round), so a drift in host speed lands on all three alike; rounds go
+/// on until at least `min_rounds` ran and the row took
+/// [`TABLE2_ROW_TIME`]. Each configuration reports its median run, and
+/// each recorder the spread of its per-round overhead.
+pub fn table2_row(workload: &Workload, min_rounds: u32) -> Table2Row {
     let program = workload.program();
     let tables = BlTables::build(&program);
     // Use a fixed mid-range seed; the interleaving does not matter for
@@ -232,26 +284,37 @@ pub fn table2_row(workload: &Workload, iterations: u32) -> Table2Row {
     let clap_bytes = run_clap().size_bytes();
     let leap_bytes = run_leap().size_bytes();
 
-    let time = |f: &dyn Fn()| {
-        let t0 = Instant::now();
-        for _ in 0..iterations {
-            f();
+    let configs: [&dyn Fn(); 3] = [
+        &|| run_native(),
+        &|| {
+            run_leap();
+        },
+        &|| {
+            run_clap();
+        },
+    ];
+    let mut times: [Vec<Duration>; 3] = Default::default();
+    let start = Instant::now();
+    let mut rounds = 0u32;
+    while rounds < min_rounds.max(1) || start.elapsed() < TABLE2_ROW_TIME {
+        for k in 0..3 {
+            let which = (rounds as usize + k) % 3;
+            let t0 = Instant::now();
+            configs[which]();
+            times[which].push(t0.elapsed());
         }
-        t0.elapsed() / iterations
-    };
-    let native = time(&|| run_native());
-    let clap = time(&|| {
-        run_clap();
-    });
-    let leap = time(&|| {
-        run_leap();
-    });
+        rounds += 1;
+    }
+    let [native, leap, clap] = times;
 
     Table2Row {
         name: workload.name.to_owned(),
-        native,
-        leap,
-        clap,
+        rounds,
+        leap_spread_pct: overhead_spread(&native, &leap),
+        clap_spread_pct: overhead_spread(&native, &clap),
+        native: median(native),
+        leap: median(leap),
+        clap: median(clap),
         leap_bytes,
         clap_bytes,
     }
@@ -487,6 +550,22 @@ mod tests {
         let row = table2_row(&w, 5);
         assert!(row.leap_bytes > row.clap_bytes, "CLAP logs are smaller");
         assert!(row.space_reduction_pct() > 0.0);
+        assert!(row.rounds >= 5);
+        assert!(row.leap_spread_pct >= 0.0 && row.clap_spread_pct >= 0.0);
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(quantile(&xs, 0.5), 3.0);
+        assert_eq!(quantile(&xs, 0.25), 2.0);
+        assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
+        let ms = |v: u64| Duration::from_millis(v);
+        assert_eq!(median(vec![ms(3), ms(1), ms(2)]), ms(2));
+        // Overheads 10, 20, 30, 40 %: IQR 17.5 - 32.5 = 15 points.
+        let native = [ms(100); 4];
+        let instrumented = [ms(110), ms(140), ms(120), ms(130)];
+        assert!((overhead_spread(&native, &instrumented) - 15.0).abs() < 1e-9);
     }
 
     #[test]

@@ -312,6 +312,9 @@ pub const EVENT_FIELD_SCHEMA: &[(&str, &[&str])] = &[
             "clap_bytes",
             "time_reduction_pct",
             "space_reduction_pct",
+            "rounds",
+            "leap_spread_pct",
+            "clap_spread_pct",
         ],
     ),
     (
