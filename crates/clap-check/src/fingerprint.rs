@@ -174,7 +174,7 @@ impl<T> Event<T> {
     }
 
     /// The same event with every thread renamed through `name`.
-    fn map_threads<U>(&self, mut name: impl FnMut(&T) -> U) -> Event<U> {
+    pub(crate) fn map_threads<U>(&self, mut name: impl FnMut(&T) -> U) -> Event<U> {
         match self {
             Event::Read {
                 thread,
@@ -269,19 +269,6 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// Number of adjacent visible-event pairs executed by different
-    /// threads — an upper bound on the *preemptive* context switches of
-    /// the execution (some switches are forced, e.g. away from an exited
-    /// thread), which is what makes it the safe gate for bounded-oracle
-    /// membership checks: `switches() <= bound` implies the execution was
-    /// within the oracle's preemption bound.
-    pub fn switches(&self) -> usize {
-        self.events
-            .windows(2)
-            .filter(|w| w[0].thread() != w[1].thread())
-            .count()
-    }
-
     /// One letter per visible event: `M` for main, `A`, `B`, … for worker
     /// lineages in their canonical (lexicographic) order. Commit events
     /// are lowercase so delayed store visibility is legible at a glance.
@@ -341,35 +328,6 @@ impl FingerprintKey {
     /// The content hash, for indexing keys by it.
     pub(crate) fn hash(&self) -> u64 {
         self.hash
-    }
-
-    /// The key `fingerprint` has in the intern table `lineages`, or `None`
-    /// when it names a lineage the table does not hold (then it equals no
-    /// key of that table).
-    pub(crate) fn of(fingerprint: &Fingerprint, lineages: &[Lineage]) -> Option<Self> {
-        let mut missing = false;
-        let mut id = |l: &Lineage| match lineages.iter().position(|known| known == l) {
-            Some(i) => i as u32,
-            None => {
-                missing = true;
-                0
-            }
-        };
-        let events = fingerprint
-            .events
-            .iter()
-            .map(|e| e.map_threads(&mut id))
-            .collect();
-        if missing {
-            return None;
-        }
-        let mut key = FingerprintKey {
-            hash: 0,
-            events,
-            assert: fingerprint.assert,
-        };
-        key.rehash();
-        Some(key)
     }
 
     /// The [`Fingerprint`] this key stands for under the intern table
@@ -464,16 +422,43 @@ impl FingerprintMonitor {
 
     /// Names runtime id `thread` by `lineage` for the rest of the path.
     fn announce(&mut self, thread: ThreadId, lineage: &Lineage) {
-        let id = match self.lineage_ids.get(lineage) {
-            Some(&id) => id,
-            None => {
-                let id = self.lineages.len() as u32;
-                self.lineages.push(lineage.clone());
-                self.lineage_ids.insert(lineage.clone(), id);
-                id
-            }
-        };
+        let id = self.intern(lineage);
         self.threads.push((thread, id));
+    }
+
+    /// The intern id of `lineage`, added to the table when it is new.
+    pub(crate) fn intern(&mut self, lineage: &Lineage) -> u32 {
+        if let Some(&id) = self.lineage_ids.get(lineage) {
+            return id;
+        }
+        let id = self.lineages.len() as u32;
+        self.lineages.push(lineage.clone());
+        self.lineage_ids.insert(lineage.clone(), id);
+        id
+    }
+
+    /// The intern id of the lineage runtime id `thread` names on the
+    /// current path: the one announced under it last.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thread` was never announced.
+    pub(crate) fn lineage_id(&self, thread: ThreadId) -> u32 {
+        self.threads
+            .iter()
+            .rev()
+            .find(|&&(id, _)| id == thread)
+            .unwrap_or_else(|| panic!("thread {thread} never announced"))
+            .1
+    }
+
+    /// Recorded event `i` with its thread named by intern id.
+    ///
+    /// # Panics
+    ///
+    /// As [`FingerprintMonitor::lineage_id`], and when `i` is out of range.
+    pub(crate) fn event_key(&self, i: usize) -> Event<u32> {
+        self.events[i].map_threads(|&t| self.lineage_id(t))
     }
 
     /// The current rewind point.
@@ -520,18 +505,12 @@ impl FingerprintMonitor {
     ///
     /// As [`FingerprintMonitor::fingerprint`].
     pub(crate) fn key_into(&self, assert: Option<AssertId>, key: &mut FingerprintKey) {
-        // A runtime id names the thread announced under it last.
-        let lineage_id = |t: &ThreadId| -> u32 {
-            self.threads
-                .iter()
-                .rev()
-                .find(|(id, _)| id == t)
-                .unwrap_or_else(|| panic!("thread {t} never announced"))
-                .1
-        };
         key.events.clear();
-        key.events
-            .extend(self.events.iter().map(|e| e.map_threads(lineage_id)));
+        key.events.extend(
+            self.events
+                .iter()
+                .map(|e| e.map_threads(|&t| self.lineage_id(t))),
+        );
         key.assert = assert;
         key.rehash();
     }
@@ -651,10 +630,6 @@ mod tests {
             ]
         );
         assert_eq!(key_a.fingerprint(mon.lineages()), fp_a);
-        assert_eq!(
-            FingerprintKey::of(&fp_a, mon.lineages()),
-            Some(key_a.clone())
-        );
         // The runtime id was reused for another lineage in between, yet
         // keys still compare exactly as their fingerprints do.
         assert_ne!(fp_a, fp_b);
@@ -713,7 +688,5 @@ mod tests {
             assert: None,
         };
         assert_eq!(fp.letters(), "MBaA");
-        // M→B, B→a are switches; a→A is the same thread (t1).
-        assert_eq!(fp.switches(), 2);
     }
 }

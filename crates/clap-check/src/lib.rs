@@ -8,9 +8,10 @@
 //! ([`oracle`]), and treat that as ground truth. The differential harness
 //! ([`diff`]) then runs a program through both and cross-checks:
 //!
-//! - **Soundness** — every schedule the pipeline reports must be in the
-//!   oracle's failing set (when the oracle is complete for that bound) and
-//!   must replay to the bug.
+//! - **Soundness** — every schedule the pipeline reports must replay to
+//!   the bug, and the replayed execution must be one the oracle's rules
+//!   reach: a directed search follows its fingerprint, under any number
+//!   of preemptions.
 //! - **Completeness** — when the oracle proves failing interleavings
 //!   exist, the pipeline must not certify `Unsat`; when the oracle proves
 //!   none exist, a certified `Unsat` is confirmed correct.

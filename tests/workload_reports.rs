@@ -11,6 +11,9 @@
 //! it reports about them, or how much work it spends on them shows up as
 //! a diff here.
 //!
+//! The same programs also go through the whole differential check, which
+//! must find each one's replayed failure a member of the oracle's space.
+//!
 //! Regenerate the snapshot after an *intended* change with:
 //!
 //! ```text
@@ -19,11 +22,13 @@
 
 mod common;
 
-use clap_check::{enumerate, DiffConfig, OracleConfig, OracleReport};
+use clap_check::{diff_program, enumerate, DiffConfig, OracleConfig, OracleReport, Verdict};
+use clap_workloads::Workload;
 use common::Fnv;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
+use std::time::Duration;
 
 const SNAPSHOT: &str = "tests/snapshots/workload_reports.snap";
 
@@ -46,29 +51,63 @@ fn failing_digest(report: &OracleReport) -> u64 {
     h.0
 }
 
+/// Runs `body` on a thread with a stack deep enough for the enumerator,
+/// which recurses once per branch point: some workloads' paths overflow
+/// the default test-thread stack in an unoptimized build.
+fn on_deep_stack(body: fn()) {
+    std::thread::Builder::new()
+        .stack_size(STACK_BYTES)
+        .spawn(body)
+        .expect("spawn test thread")
+        .join()
+        .unwrap_or_else(|e| std::panic::resume_unwind(e));
+}
+
+/// The three workload families, in snapshot order.
+fn every_workload() -> impl Iterator<Item = Workload> {
+    clap_workloads::all()
+        .into_iter()
+        .chain(clap_workloads::channels())
+        .chain(clap_workloads::lockfree())
+}
+
 #[test]
 fn workload_oracle_reports_match_snapshot() {
     // The work counters come from the process-global collector.
     let _l = clap_obs::test_lock();
-    // The enumerator recurses once per branch point, and some workloads'
-    // paths are deep enough to overflow the default test-thread stack in
-    // an unoptimized build.
-    std::thread::Builder::new()
-        .stack_size(STACK_BYTES)
-        .spawn(check_snapshot)
-        .expect("spawn snapshot thread")
-        .join()
-        .unwrap_or_else(|e| std::panic::resume_unwind(e));
+    on_deep_stack(check_snapshot);
+}
+
+/// Every workload, checked under its own model with its exploration hints
+/// and the benchmark's solver choice, reproduces its failure, and the
+/// directed search finds the replayed execution in the oracle's space.
+#[test]
+fn every_workload_replay_is_a_member() {
+    // The check adds to the counters the snapshot test reads.
+    let _l = clap_obs::test_lock();
+    on_deep_stack(|| {
+        for w in every_workload() {
+            let program = w.program();
+            let mut config = DiffConfig::default()
+                .with_models(vec![w.model])
+                .with_seed_budget(w.seed_budget, w.stickiness.to_vec());
+            config.solver = clap_bench::solver_for(&program, Duration::from_secs(120));
+            let report = diff_program(&program, &config);
+            assert_eq!(
+                report.outcomes[0].verdict,
+                Verdict::Sound,
+                "{}: {}",
+                w.name,
+                report.summary()
+            );
+        }
+    });
 }
 
 fn check_snapshot() {
     let bounds = DiffConfig::default();
     let mut actual = String::new();
-    let workloads = clap_workloads::all()
-        .into_iter()
-        .chain(clap_workloads::channels())
-        .chain(clap_workloads::lockfree());
-    for w in workloads {
+    for w in every_workload() {
         let mut config = OracleConfig::new(w.model);
         config.max_preemptions = bounds.max_preemptions;
         config.max_steps = bounds.max_steps;
