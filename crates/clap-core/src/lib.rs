@@ -490,6 +490,22 @@ impl Pipeline {
         config: &PipelineConfig,
         recorded: &RecordedFailure,
     ) -> Result<ReproductionReport, PipelineError> {
+        self.reproduce_from_monitored(config, recorded, &mut clap_vm::NullMonitor)
+    }
+
+    /// [`Pipeline::reproduce_from`] with `monitor` attached to the replay,
+    /// so that it observes the very execution the report certifies. The
+    /// differential check (`clap-check`) fingerprints the replay this way.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::reproduce_from`].
+    pub fn reproduce_from_monitored(
+        &self,
+        config: &PipelineConfig,
+        recorded: &RecordedFailure,
+        monitor: &mut dyn Monitor,
+    ) -> Result<ReproductionReport, PipelineError> {
         let mut phases = PhaseTimings {
             record: recorded.record_time,
             ..PhaseTimings::default()
@@ -611,7 +627,7 @@ impl Pipeline {
                 &trace,
                 &schedule,
                 recorded.assert,
-                &mut clap_vm::NullMonitor,
+                monitor,
             )
             .map_err(PipelineError::Replay)?
         };
@@ -643,40 +659,6 @@ impl Pipeline {
             replay: replay_report,
             seed: recorded.seed,
         })
-    }
-
-    /// Re-replays an already-computed schedule for `recorded` with an
-    /// arbitrary [`Monitor`] attached.
-    ///
-    /// This is the differential-checking entry point: an external oracle
-    /// (`clap-check`) replays the pipeline's schedule under its own
-    /// event-fingerprinting monitor and compares the observed execution
-    /// against its exhaustively enumerated failing set — certifying the
-    /// schedule against something other than the pipeline's own replayer.
-    ///
-    /// # Errors
-    ///
-    /// Decode/symex errors for a corrupt artifact, or
-    /// [`PipelineError::Replay`] when the schedule does not replay.
-    pub fn replay_with_monitor(
-        &self,
-        config: &PipelineConfig,
-        recorded: &RecordedFailure,
-        schedule: &Schedule,
-        monitor: &mut dyn Monitor,
-    ) -> Result<ReplayReport, PipelineError> {
-        let trace = self.symbolic_trace(recorded)?;
-        clap_replay::replay_compiled(
-            &self.program,
-            Arc::clone(&self.compiled),
-            config.model,
-            self.sharing.shared_spec(),
-            &trace,
-            schedule,
-            recorded.assert,
-            monitor,
-        )
-        .map_err(PipelineError::Replay)
     }
 
     /// The whole pipeline in one call.
