@@ -1,7 +1,6 @@
 //! Decomposes the VM's per-step cost: full run loop vs scheduler choice
 //! vs raw dispatch, plus how often the VM rebuilds its kept enabled-action
-//! set. A diagnostic aid for the `bench_vm` numbers, in the spirit of
-//! `dbgdead`/`dbgpar`.
+//! set. A diagnostic aid for the `bench_vm` numbers.
 //!
 //! ```text
 //! dbgvm [workload] [seeds]
