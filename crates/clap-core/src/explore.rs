@@ -41,22 +41,20 @@
 //! sequential sweep, regardless of thread count, chunk width, or timing.
 //! The invariants that make this hold:
 //!
-//! 1. The collector maintains a *watermark* — the length of the
-//!    contiguous prefix of completed seeds — and only counts a failure as
-//!    *finalized* once every smaller seed has completed. Early stop fires
-//!    when [`CANDIDATES`] failures are finalized; at that point the
-//!    `CANDIDATES` smallest failing seeds are all known.
+//! 1. The collector maintains a *watermark* — the contiguous prefix of
+//!    completed seeds — and a seed joins it only once every smaller seed
+//!    has completed. Early stop fires when the prefix holds
+//!    [`CANDIDATES`] failures; at that point the prefix is exactly the
+//!    seeds the sequential loop runs.
 //! 2. Before the stop fires, every claimed seed is run and reported, so
 //!    completed seeds form a contiguous prefix of `0..budget` up to
 //!    in-flight claims. *After* the stop fires a worker may abandon the
 //!    rest of its chunk: the watermark can never pass an unreported seed,
-//!    so every abandoned seed is above the watermark the stop decision
-//!    looked at — above every seed selection can observe.
-//! 3. After the level drains, failures are sorted by seed and truncated
-//!    to [`CANDIDATES`] — exactly the candidate set the sequential loop
-//!    collects — and the winner is the candidate minimizing
-//!    `(saps, seed)`, which reproduces the sequential selection rule
-//!    (strictly fewer SAPs wins, ties keep the earliest seed).
+//!    so every abandoned seed is above the prefix selection reads.
+//! 3. Selection and the level's counters read the prefix alone, and the
+//!    winner is the candidate minimizing `(saps, seed)`, which reproduces
+//!    the sequential selection rule (strictly fewer SAPs wins, ties keep
+//!    the earliest seed).
 //!
 //! Stickiness levels are explored strictly in order; the first level that
 //! produces any failure is the last one explored, as in the sequential
@@ -67,14 +65,14 @@
 //! # Telemetry
 //!
 //! The engine reports through [`clap_obs`] in two tiers. *Counters*
-//! (`explore.levels`, `explore.failures`, `explore.seeds`) derive from the
-//! canonical post-truncation candidate set, so they are byte-identical for
-//! any worker count — the determinism contract extends to them. Runtime
-//! shape that legitimately varies with thread timing (per-worker seed
-//! counts and utilization, pool startup latency, early-stop drain latency,
-//! attribution overrun) goes into histograms and gauges instead, and each
-//! level emits an `explore.level.path` event naming the path it took and
-//! why.
+//! (`explore.levels`, `explore.failures`, `explore.seeds`,
+//! `explore.steps`) derive from the finalized prefix, so they are
+//! byte-identical for any worker count — the determinism contract extends
+//! to them. Runtime shape that legitimately varies with thread timing
+//! (per-worker seed counts and utilization, pool startup latency,
+//! early-stop drain latency, attribution overrun) goes into histograms
+//! and gauges instead, and each level emits an `explore.level.path` event
+//! naming the path it took and why.
 
 use crate::{ExploreCutover, Pipeline, PipelineConfig, PipelineError, RecordedFailure};
 use clap_ir::AssertId;
@@ -83,8 +81,7 @@ use clap_profile::{PathRecorder, SyncOrderRecorder};
 use clap_symex::FailureContext;
 use clap_vm::{ExecStats, MultiMonitor, NullMonitor, Outcome, RandomScheduler, Vm};
 use crossbeam::channel::{Receiver, Sender};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -162,8 +159,15 @@ struct Candidate {
     stats: ExecStats,
 }
 
-/// Runs one (stickiness, seed) cell of the sweep bare on a reusable VM,
-/// returning the candidate when the run fails its assert.
+/// One bare run of the sweep: the VM steps it took, and the candidate
+/// when it failed its assert.
+#[derive(Debug, Clone, Copy)]
+struct SeedRun {
+    steps: u64,
+    failure: Option<Candidate>,
+}
+
+/// Runs one (stickiness, seed) cell of the sweep bare on a reusable VM.
 ///
 /// [`Vm::reset`] rewinds the VM to its pristine state in place — no
 /// snapshot round-trip, no reallocation — which is what makes the
@@ -179,7 +183,7 @@ fn run_seed(
     seed: u64,
     vm: &mut Vm<'_>,
     mut attr: Option<&mut WorkerAttribution>,
-) -> Option<Candidate> {
+) -> SeedRun {
     let t0 = attr.is_some().then(Instant::now);
     vm.reset();
     if let (Some(t0), Some(a)) = (t0, attr.as_deref_mut()) {
@@ -195,14 +199,19 @@ fn run_seed(
         a.rebuild += prof.rebuild;
         a.step += total.saturating_sub(prof.rebuild);
     }
-    match outcome {
+    let stats = *vm.stats();
+    let failure = match outcome {
         Outcome::AssertFailed { assert, .. } => Some(Candidate {
             seed,
             stickiness,
             assert,
-            stats: *vm.stats(),
+            stats,
         }),
         _ => None,
+    };
+    SeedRun {
+        steps: stats.steps,
+        failure,
     }
 }
 
@@ -261,27 +270,23 @@ fn pristine_vm<'p>(pipeline: &'p Pipeline, config: &PipelineConfig) -> Vm<'p> {
     vm
 }
 
-/// Continues the sequential sweep of one stickiness level from `start`,
-/// carrying failures already collected (by the calibration probe), on the
+/// Continues the sequential sweep of one stickiness level from the end of
+/// `prefix` (the seeds the calibration probe already ran), on the
 /// caller's reusable scratch VM. Stops at [`CANDIDATES`] failures.
 fn run_sequential<'p>(
     pipeline: &'p Pipeline,
     config: &PipelineConfig,
     stickiness: f64,
     scratch: &mut Option<Vm<'p>>,
-    start: u64,
-    mut failures: Vec<Candidate>,
-) -> Vec<Candidate> {
+    mut prefix: Watermark,
+) -> Watermark {
     let vm = scratch.get_or_insert_with(|| pristine_vm(pipeline, config));
-    for seed in start..config.seed_budget {
-        if failures.len() >= CANDIDATES {
+    for seed in prefix.watermark()..config.seed_budget {
+        if prefix.complete(seed, run_seed(stickiness, seed, vm, None)) {
             break;
         }
-        if let Some(found) = run_seed(stickiness, seed, vm, None) {
-            failures.push(found);
-        }
     }
-    failures
+    prefix
 }
 
 /// Where one parallel-sweep worker spent its wall time, measured by the
@@ -340,7 +345,7 @@ impl WorkerAttribution {
 pub const ATTRIBUTION_CATEGORIES: [&str; 5] = ["claim", "restore", "rebuild", "step", "idle"];
 
 /// One stickiness level swept in profiled parallel mode: per-worker time
-/// attribution plus the level's canonical failure count. Produced by
+/// attribution plus the level's finalized failure count. Produced by
 /// [`Pipeline::profile_contention`]; rendered by
 /// [`ContentionProfile::render_table`].
 #[derive(Debug, Clone)]
@@ -497,7 +502,7 @@ struct LevelTask {
 }
 
 enum WorkerMsg {
-    Seed(u64, Option<Candidate>),
+    Seed(u64, SeedRun),
     Done(WorkerAttribution),
 }
 
@@ -638,11 +643,11 @@ fn run_level_worker(index: usize, task: &LevelTask, vm: &mut Vm<'_>) {
                 break 'claim;
             }
             let t = Instant::now();
-            let found = run_seed(task.stickiness, seed, vm, profiled.then_some(&mut attr));
+            let run = run_seed(task.stickiness, seed, vm, profiled.then_some(&mut attr));
             busy += t.elapsed();
             attr.seeds += 1;
             let t_send = profiled.then(Instant::now);
-            if task.tx.send(WorkerMsg::Seed(seed, found)).is_err() {
+            if task.tx.send(WorkerMsg::Seed(seed, run)).is_err() {
                 break 'claim;
             }
             if let Some(t) = t_send {
@@ -669,18 +674,18 @@ fn run_level_worker(index: usize, task: &LevelTask, vm: &mut Vm<'_>) {
     let _ = task.tx.send(WorkerMsg::Done(attr));
 }
 
-/// Hands one level to the pool and collects it: failures carried in from
-/// the calibration probe (all below `start`, hence finalized from the
-/// outset) plus everything the workers report for `start..budget`.
+/// Hands one level to the pool and collects it: `prefix` holds the seeds
+/// the calibration probe already ran, the workers run the rest of
+/// `prefix.watermark()..budget`.
 fn run_level_on_pool(
     pool: &WorkerPool,
     stickiness: f64,
     budget: u64,
-    start: u64,
-    carried: Vec<Candidate>,
+    prefix: Watermark,
     profile: Option<&mut Vec<WorkerAttribution>>,
-) -> Vec<Candidate> {
+) -> Watermark {
     let (tx, rx) = crossbeam::channel::unbounded::<WorkerMsg>();
+    let start = prefix.watermark();
     let task = Arc::new(LevelTask {
         stickiness,
         budget,
@@ -691,38 +696,28 @@ fn run_level_on_pool(
         tx,
     });
     pool.post(Arc::clone(&task));
-    collect_level(&rx, &task, pool.workers, carried, start, profile)
+    collect_level(&rx, &task, pool.workers, prefix, profile)
 }
 
-/// The level collector: counts failures as finalized only once all
-/// smaller seeds have completed (watermark), fires the early stop at
-/// [`CANDIDATES`] finalized failures, and returns once every worker has
-/// sent its `Done` for this level.
+/// The level collector: feeds every reported seed to the watermark, which
+/// finalizes seeds in order, fires the early stop once the watermark has
+/// its [`CANDIDATES`] failures, and returns once every worker has sent
+/// its `Done` for this level.
 fn collect_level(
     rx: &Receiver<WorkerMsg>,
     task: &LevelTask,
     workers: usize,
-    mut failures: Vec<Candidate>,
-    start: u64,
+    mut prefix: Watermark,
     mut profile: Option<&mut Vec<WorkerAttribution>>,
-) -> Vec<Candidate> {
-    let mut completed = Watermark::starting_at(start);
+) -> Watermark {
     let mut stopped_at: Option<Instant> = None;
     let mut done = 0usize;
     while done < workers {
         match rx.recv().expect("pool workers outlive the level") {
-            WorkerMsg::Seed(seed, found) => {
-                completed.complete(seed);
-                if let Some(failure) = found {
-                    failures.push(failure);
-                }
-                if !task.stop.load(Ordering::Relaxed) {
-                    let watermark = completed.watermark();
-                    let finalized = failures.iter().filter(|f| f.seed < watermark).count();
-                    if finalized >= CANDIDATES {
-                        task.stop.store(true, Ordering::Relaxed);
-                        stopped_at = Some(Instant::now());
-                    }
+            WorkerMsg::Seed(seed, run) => {
+                if prefix.complete(seed, run) && stopped_at.is_none() {
+                    task.stop.store(true, Ordering::Relaxed);
+                    stopped_at = Some(Instant::now());
                 }
             }
             WorkerMsg::Done(attr) => {
@@ -741,7 +736,7 @@ fn collect_level(
             i64::try_from(at.elapsed().as_nanos()).unwrap_or(i64::MAX),
         );
     }
-    failures
+    prefix
 }
 
 // ---------------------------------------------------------------------------
@@ -773,21 +768,16 @@ impl LevelPath {
     }
 }
 
-/// What [`plan_level`] decided for a level.
+/// What [`plan_level`] decided for a level. Each plan carries the seeds
+/// the calibration probe ran (none without a probe).
 enum LevelPlan {
     /// The level completed entirely during planning (the calibration
     /// probe filled it, or the budget fit inside the probe).
-    Done(Vec<Candidate>),
-    /// Run (or finish) the level sequentially from `start`, carrying the
-    /// probe's failures.
-    Sequential { start: u64, carried: Vec<Candidate> },
-    /// Hand `start..budget` to the pool (of `workers` threads), carrying
-    /// the probe's failures.
-    Parallel {
-        start: u64,
-        carried: Vec<Candidate>,
-        workers: usize,
-    },
+    Done(Watermark),
+    /// Run (or finish) the level sequentially.
+    Sequential(Watermark),
+    /// Hand the rest of the level to the pool (of `workers` threads).
+    Parallel { prefix: Watermark, workers: usize },
 }
 
 /// Decides, per level, whether the remaining sweep is worth a worker
@@ -813,10 +803,7 @@ fn plan_level<'p>(
     let budget = config.seed_budget;
     if requested <= 1 {
         return (
-            LevelPlan::Sequential {
-                start: 0,
-                carried: Vec::new(),
-            },
+            LevelPlan::Sequential(Watermark::default()),
             LevelPath::sequential("one worker requested"),
         );
     }
@@ -824,10 +811,7 @@ fn plan_level<'p>(
         ExploreCutover::Fixed(cutover) => {
             if budget < cutover {
                 (
-                    LevelPlan::Sequential {
-                        start: 0,
-                        carried: Vec::new(),
-                    },
+                    LevelPlan::Sequential(Watermark::default()),
                     LevelPath::sequential(format!(
                         "seed budget {budget} below fixed cutover {cutover}"
                     )),
@@ -835,8 +819,7 @@ fn plan_level<'p>(
             } else {
                 (
                     LevelPlan::Parallel {
-                        start: 0,
-                        carried: Vec::new(),
+                        prefix: Watermark::default(),
                         workers: requested,
                     },
                     LevelPath::parallel(format!(
@@ -849,39 +832,33 @@ fn plan_level<'p>(
             let usable = requested.min(available_cores());
             if usable <= 1 {
                 return (
-                    LevelPlan::Sequential {
-                        start: 0,
-                        carried: Vec::new(),
-                    },
+                    LevelPlan::Sequential(Watermark::default()),
                     LevelPath::sequential("single usable core"),
                 );
             }
             let probe_n = PROBE_SEEDS.min(budget);
             if probe_n == 0 {
                 return (
-                    LevelPlan::Done(Vec::new()),
+                    LevelPlan::Done(Watermark::default()),
                     LevelPath::sequential("empty seed budget"),
                 );
             }
             let t0 = Instant::now();
-            let mut failures = Vec::new();
+            let mut prefix = Watermark::default();
             let mut filled = false;
             {
                 let vm = scratch.get_or_insert_with(|| pristine_vm(pipeline, config));
                 for seed in 0..probe_n {
-                    if let Some(found) = run_seed(stickiness, seed, vm, None) {
-                        failures.push(found);
-                        if failures.len() >= CANDIDATES {
-                            filled = true;
-                            break;
-                        }
+                    if prefix.complete(seed, run_seed(stickiness, seed, vm, None)) {
+                        filled = true;
+                        break;
                     }
                 }
             }
             let probe_time = t0.elapsed();
             if filled || probe_n >= budget {
                 return (
-                    LevelPlan::Done(failures),
+                    LevelPlan::Done(prefix),
                     LevelPath::sequential("level completed inside the calibration probe"),
                 );
             }
@@ -889,11 +866,9 @@ fn plan_level<'p>(
             // Seeds the sequential sweep would still run: with f probe
             // failures, CANDIDATES failures arrive around seed
             // CANDIDATES·probe_n/f; with none, assume the whole budget.
-            let expected_total = if failures.is_empty() {
-                budget
-            } else {
-                (CANDIDATES as u64 * probe_n / failures.len() as u64).min(budget)
-            };
+            let expected_total = (CANDIDATES as u64 * probe_n)
+                .checked_div(prefix.failures.len() as u64)
+                .map_or(budget, |total| total.min(budget));
             let remaining = expected_total.saturating_sub(probe_n);
             let tail = per_seed.mul_f64(remaining as f64);
             let pool_cost = if pool_started {
@@ -905,8 +880,7 @@ fn plan_level<'p>(
             if savings > pool_cost.saturating_mul(2) {
                 (
                     LevelPlan::Parallel {
-                        start: probe_n,
-                        carried: failures,
+                        prefix,
                         workers: usable,
                     },
                     LevelPath::parallel(format!(
@@ -918,10 +892,7 @@ fn plan_level<'p>(
                 )
             } else {
                 (
-                    LevelPlan::Sequential {
-                        start: probe_n,
-                        carried: failures,
-                    },
+                    LevelPlan::Sequential(prefix),
                     LevelPath::sequential(format!(
                         "estimated sequential tail {:.2}ms does not amortize pool cost \
                          {:.3}ms",
@@ -944,7 +915,7 @@ fn explore_level<'scope, 'env>(
     requested: usize,
     pool: &mut Option<WorkerPool>,
     scratch: &mut Option<Vm<'env>>,
-) -> Vec<Candidate> {
+) -> Watermark {
     let (plan, path) = plan_level(
         pipeline,
         config,
@@ -969,17 +940,13 @@ fn explore_level<'scope, 'env>(
         ],
     );
     match plan {
-        LevelPlan::Done(failures) => failures,
-        LevelPlan::Sequential { start, carried } => {
-            run_sequential(pipeline, config, stickiness, scratch, start, carried)
+        LevelPlan::Done(prefix) => prefix,
+        LevelPlan::Sequential(prefix) => {
+            run_sequential(pipeline, config, stickiness, scratch, prefix)
         }
-        LevelPlan::Parallel {
-            start,
-            carried,
-            workers,
-        } => {
+        LevelPlan::Parallel { prefix, workers } => {
             let pool = pool.get_or_insert_with(|| start_pool(scope, pipeline, config, workers));
-            run_level_on_pool(pool, stickiness, config.seed_budget, start, carried, None)
+            run_level_on_pool(pool, stickiness, config.seed_budget, prefix, None)
         }
     }
 }
@@ -1005,95 +972,94 @@ pub(crate) fn profile_contention(
         path
     };
     let mut attributions: Vec<WorkerAttribution> = Vec::new();
-    let failures = std::thread::scope(|scope| {
+    let prefix = std::thread::scope(|scope| {
         let pool = start_pool(scope, pipeline, config, workers);
-        let failures = run_level_on_pool(
+        let prefix = run_level_on_pool(
             &pool,
             stickiness,
             config.seed_budget,
-            0,
-            Vec::new(),
+            Watermark::default(),
             Some(&mut attributions),
         );
         pool.shutdown();
-        failures
+        prefix
     });
     attributions.sort_by_key(|a| a.worker);
     ContentionProfile {
         stickiness,
         seed_budget: config.seed_budget,
         requested_workers: workers,
-        failures: canonical_candidates(failures).len(),
+        failures: prefix.failures.len(),
         workers: attributions,
         production_parallel: production.parallel,
         production_reason: production.reason,
     }
 }
 
-/// Tracks the contiguous prefix of completed seeds: `watermark()` is the
-/// smallest seed that has *not* completed yet, so every failure with
-/// `seed < watermark()` is finalized (no smaller seed can still appear).
+/// A level's sweep, finalized in seed order. Seeds may complete in any
+/// order (the pool reports them as its workers finish), but a seed joins
+/// the contiguous prefix `0..watermark()` only once every smaller seed
+/// has: until then it waits in `pending`. What the level has swept is
+/// therefore read off the prefix alone — its steps and its failures are
+/// exactly the sequential sweep's, whatever ran past it. The prefix stops
+/// growing at [`CANDIDATES`] failures.
 #[derive(Default)]
 struct Watermark {
     next: u64,
-    pending: BinaryHeap<Reverse<u64>>,
+    /// VM steps of the seeds in the prefix.
+    steps: u64,
+    /// The prefix's failing runs, in seed order.
+    failures: Vec<Candidate>,
+    pending: BTreeMap<u64, SeedRun>,
 }
 
 impl Watermark {
-    /// A watermark whose contiguous prefix already covers `0..start` —
-    /// used when the calibration probe completed those seeds before the
-    /// pool took over.
-    fn starting_at(start: u64) -> Self {
-        Watermark {
-            next: start,
-            pending: BinaryHeap::new(),
+    /// Adds one completed seed; `true` once the level is complete, after
+    /// which later seeds are ignored.
+    fn complete(&mut self, seed: u64, run: SeedRun) -> bool {
+        if self.full() {
+            return true;
         }
-    }
-
-    fn complete(&mut self, seed: u64) {
-        self.pending.push(Reverse(seed));
-        while self.pending.peek() == Some(&Reverse(self.next)) {
-            self.pending.pop();
+        self.pending.insert(seed, run);
+        while let Some(run) = self.pending.remove(&self.next) {
             self.next += 1;
+            self.steps += run.steps;
+            self.failures.extend(run.failure);
+            if self.full() {
+                self.pending.clear();
+                return true;
+            }
         }
+        false
     }
 
+    fn full(&self) -> bool {
+        self.failures.len() >= CANDIDATES
+    }
+
+    /// The smallest seed not in the prefix yet.
     fn watermark(&self) -> u64 {
         self.next
     }
 }
 
-/// Reduces a level's failures to the canonical candidate set — the
-/// [`CANDIDATES`] earliest failing seeds, sorted — which is identical for
-/// any worker count.
-fn canonical_candidates(mut failures: Vec<Candidate>) -> Vec<Candidate> {
-    failures.sort_by_key(|f| f.seed);
-    failures.truncate(CANDIDATES);
-    failures
-}
-
-/// Applies the sequential selection rule to a canonical candidate set:
-/// pick the candidate with the fewest SAPs (earliest seed on ties).
+/// Applies the selection rule to a level's failures: pick the candidate
+/// with the fewest SAPs (earliest seed on ties).
 fn select(candidates: &[Candidate]) -> Option<&Candidate> {
     candidates.iter().min_by_key(|f| (f.stats.saps, f.seed))
 }
 
-/// Emits the deterministic per-level counters, derived purely from the
-/// canonical candidate set and the configured budget so that any worker
-/// count produces identical values. `explore.seeds` is the number of
-/// seeds the *sequential* sweep runs for this level: up to the last
-/// candidate when the level filled, the whole budget otherwise (parallel
-/// overshoot past the stop point is deliberately not counted here — it
-/// shows up in the `explore.worker.seeds` histogram instead).
-fn emit_level_counters(config: &PipelineConfig, candidates: &[Candidate]) {
+/// Emits the per-level counters. They are read off the finalized prefix,
+/// so any worker count produces the sequential sweep's values: parallel
+/// overshoot past the stop point is not counted here — it shows up in
+/// the `explore.worker.seeds` histogram instead. `explore.seeds` and
+/// `explore.steps` are the seeds the sequential sweep runs for this level
+/// and their VM steps.
+fn emit_level_counters(prefix: &Watermark) {
     clap_obs::add("explore.levels", 1);
-    clap_obs::add("explore.failures", candidates.len() as u64);
-    let seeds = if candidates.len() == CANDIDATES {
-        candidates.last().map_or(0, |f| f.seed + 1)
-    } else {
-        config.seed_budget
-    };
-    clap_obs::add("explore.seeds", seeds);
+    clap_obs::add("explore.failures", prefix.failures.len() as u64);
+    clap_obs::add("explore.seeds", prefix.watermark());
+    clap_obs::add("explore.steps", prefix.steps);
 }
 
 /// The engine entry point backing [`Pipeline::record_failure`]. One
@@ -1113,7 +1079,7 @@ pub(crate) fn record_failure(
         let mut scratch: Option<Vm<'_>> = None;
         let mut result = Err(PipelineError::NoFailureFound);
         for &stickiness in &config.stickiness {
-            let failures = explore_level(
+            let prefix = explore_level(
                 scope,
                 pipeline,
                 config,
@@ -1122,9 +1088,8 @@ pub(crate) fn record_failure(
                 &mut pool,
                 &mut scratch,
             );
-            let candidates = canonical_candidates(failures);
-            emit_level_counters(config, &candidates);
-            if let Some(best) = select(&candidates) {
+            emit_level_counters(&prefix);
+            if let Some(best) = select(&prefix.failures) {
                 let vm = scratch.get_or_insert_with(|| pristine_vm(pipeline, config));
                 result = record_selected(pipeline, config, vm, best).map(|mut recorded| {
                     recorded.record_time = start.elapsed();
@@ -1142,7 +1107,9 @@ pub(crate) fn record_failure(
 
 #[cfg(test)]
 mod tests {
-    use super::{chunk_size, Watermark};
+    use super::{chunk_size, Candidate, SeedRun, Watermark, CANDIDATES};
+    use clap_ir::AssertId;
+    use clap_vm::ExecStats;
 
     #[test]
     fn profile_contention_covers_worker_wall_and_renders() {
@@ -1191,30 +1158,77 @@ mod tests {
         assert!(!profile.dominant_category().is_empty());
     }
 
+    fn pass(steps: u64) -> SeedRun {
+        SeedRun {
+            steps,
+            failure: None,
+        }
+    }
+
+    fn fail(seed: u64, steps: u64) -> SeedRun {
+        let stats = ExecStats {
+            steps,
+            ..ExecStats::default()
+        };
+        SeedRun {
+            steps,
+            failure: Some(Candidate {
+                seed,
+                stickiness: 0.9,
+                assert: AssertId(0),
+                stats,
+            }),
+        }
+    }
+
     #[test]
     fn watermark_tracks_contiguous_prefix() {
         let mut w = Watermark::default();
         assert_eq!(w.watermark(), 0);
-        w.complete(1);
-        w.complete(2);
+        w.complete(1, pass(10));
+        w.complete(2, pass(20));
         assert_eq!(w.watermark(), 0, "seed 0 still in flight");
-        w.complete(0);
+        assert_eq!(w.steps, 0, "only the prefix's steps count");
+        w.complete(0, pass(1));
+        assert_eq!((w.watermark(), w.steps), (3, 31));
+        w.complete(5, pass(500));
         assert_eq!(w.watermark(), 3);
-        w.complete(5);
-        assert_eq!(w.watermark(), 3);
-        w.complete(4);
-        w.complete(3);
-        assert_eq!(w.watermark(), 6);
+        w.complete(4, pass(400));
+        w.complete(3, pass(300));
+        assert_eq!((w.watermark(), w.steps), (6, 1231));
     }
 
     #[test]
     fn watermark_starting_at_skips_probe_prefix() {
-        let mut w = Watermark::starting_at(32);
+        // The calibration probe completes seeds 0..32 in order; the pool
+        // reports the rest in any order and continues the same prefix.
+        let mut w = Watermark::default();
+        for seed in 0..32 {
+            w.complete(seed, pass(1));
+        }
         assert_eq!(w.watermark(), 32);
-        w.complete(33);
+        w.complete(33, pass(1));
         assert_eq!(w.watermark(), 32);
-        w.complete(32);
-        assert_eq!(w.watermark(), 34);
+        w.complete(32, pass(1));
+        assert_eq!((w.watermark(), w.steps), (34, 34));
+    }
+
+    #[test]
+    fn watermark_ends_the_level_at_its_last_failure() {
+        // Failures arrive out of order; the level ends once the prefix
+        // holds CANDIDATES of them, and seeds past that are not counted.
+        let n = CANDIDATES as u64;
+        let mut w = Watermark::default();
+        for seed in (1..n).rev() {
+            assert!(!w.complete(seed, fail(seed, 2)));
+        }
+        assert!(w.failures.is_empty(), "seed 0 still in flight");
+        assert!(!w.complete(n + 1, fail(n + 1, 2)));
+        assert!(w.complete(0, fail(0, 2)));
+        assert!(w.complete(n, fail(n, 2)), "overshoot is ignored");
+        assert_eq!((w.watermark(), w.steps), (n, 2 * n));
+        let seeds: Vec<u64> = w.failures.iter().map(|f| f.seed).collect();
+        assert_eq!(seeds, (0..n).collect::<Vec<_>>());
     }
 
     #[test]
