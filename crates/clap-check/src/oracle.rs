@@ -642,8 +642,9 @@ impl<'p, 'c> Enumerator<'p, 'c> {
                 }
             }
             Outcome::Fault { .. } => self.report.faults += 1,
-            // `step` never sets these; `run`-only outcomes.
-            Outcome::Completed | Outcome::Deadlock | Outcome::StepLimit => {}
+            // `step` never sets these; `run`-only outcomes, and the
+            // oracle's VM has no SAP limit.
+            Outcome::Completed | Outcome::Deadlock | Outcome::StepLimit | Outcome::SapLimit => {}
         }
         self.count_leaf();
     }

@@ -1,6 +1,27 @@
 //! The record-phase exploration engine: sweeps the (stickiness, seed)
-//! grid of [`Pipeline::record_failure`] hunting a failing interleaving,
-//! optionally fanning the sweep over a persistent worker pool.
+//! grid of [`Pipeline::record_failure`] for a failing interleaving with
+//! few SAPs, optionally fanning the first phase of each level over a
+//! persistent worker pool.
+//!
+//! # Two phases per level
+//!
+//! 1. The *hunt* runs seeds from 0, each to its end, until the first
+//!    failing seed s1. This phase may run on the pool.
+//! 2. The *refine* phase ([`refine`]) runs the seeds after s1 in order,
+//!    on the caller's thread, and keeps the failure with the fewest SAPs
+//!    (the earlier seed on ties). A run is cut as soon as it has taken
+//!    more SAPs than the best failure so far ([`Vm::set_sap_limit`]): it
+//!    can no longer win. A run that ties the best runs to its assert.
+//!    The phase stops at [`CANDIDATES`] failures that reached their
+//!    assert, s1 included, or once the level has swept
+//!    max([`REFINE_FACTOR`] × C1, [`REFINE_FLOOR`]) VM steps, where C1 is
+//!    the steps of seeds 0..=s1.
+//!
+//! The winner is the `(saps, seed)` minimum over every seed the level
+//! swept, exactly as if no run had been cut. The first level that finds
+//! a failure is the last one swept. Small traces keep the offline search
+//! tractable; the paper gets them from timing delays placed by hand, this
+//! sweep from a work budget.
 //!
 //! # Record only the selected run
 //!
@@ -13,24 +34,25 @@
 //! recorder, when enabled) attached and ships that run's artifact. A
 //! re-run that fails elsewhere or with different statistics is an
 //! internal error ([`PipelineError::RecordDiverged`]), never a silent
-//! fallback.
+//! fallback. The SAP limit is cleared before that re-run; no replay and
+//! no other VM ever sets one.
 //!
 //! # Architecture
 //!
 //! One pool per sweep: [`record_failure`] opens a single thread scope
 //! around the whole stickiness loop and starts the pool lazily, the first
 //! time a level's plan goes parallel. Workers build their scratch VM once,
-//! then park on a condvar between levels; each level is handed off by
-//! bumping an epoch and publishing a [`LevelTask`] — no thread is spawned
-//! or joined between levels. Seeds are claimed in *chunks* (one atomic
-//! `fetch_add` claims a run of seeds) so the cross-thread coordination
-//! cost amortizes across the chunk.
+//! then park on a condvar between levels; each level's hunt is handed off
+//! by bumping an epoch and publishing a [`LevelTask`] — no thread is
+//! spawned or joined between levels. Seeds are claimed in *chunks* (one
+//! atomic `fetch_add` claims a run of seeds) so the cross-thread
+//! coordination cost amortizes across the chunk.
 //!
-//! Whether a level runs on the pool at all is decided *per level* by
-//! [`plan_level`]: a short sequential calibration probe measures the
-//! per-seed cost and failure density, estimates the remaining sequential
-//! tail, and compares the parallel savings against the *measured* pool
-//! startup cost (or the much cheaper handoff cost once the pool exists).
+//! Whether a level's hunt runs on the pool at all is decided *per level*
+//! by [`plan_level`]: a short sequential calibration probe measures the
+//! per-seed cost, estimates the remaining sequential tail, and compares
+//! the parallel savings against the *measured* pool startup cost (or the
+//! much cheaper handoff cost once the pool exists).
 //! [`crate::ExploreCutover::Fixed`] replaces the estimate with an explicit
 //! seed-budget threshold (`Fixed(0)` forces the pool on, which the tests
 //! and the contention profiler use).
@@ -41,38 +63,36 @@
 //! sequential sweep, regardless of thread count, chunk width, or timing.
 //! The invariants that make this hold:
 //!
-//! 1. The collector maintains a *watermark* — the contiguous prefix of
-//!    completed seeds — and a seed joins it only once every smaller seed
-//!    has completed. Early stop fires when the prefix holds
-//!    [`CANDIDATES`] failures; at that point the prefix is exactly the
-//!    seeds the sequential loop runs.
+//! 1. The hunt's collector maintains a *watermark* — the contiguous
+//!    prefix of completed seeds — and a seed joins it only once every
+//!    smaller seed has completed. Early stop fires when the prefix ends
+//!    at its first failure; at that point the prefix is exactly the seeds
+//!    the sequential hunt runs.
 //! 2. Before the stop fires, every claimed seed is run and reported, so
 //!    completed seeds form a contiguous prefix of `0..budget` up to
 //!    in-flight claims. *After* the stop fires a worker may abandon the
 //!    rest of its chunk: the watermark can never pass an unreported seed,
-//!    so every abandoned seed is above the prefix selection reads.
-//! 3. Selection and the level's counters read the prefix alone, and the
-//!    winner is the candidate minimizing `(saps, seed)`, which reproduces
-//!    the sequential selection rule (strictly fewer SAPs wins, ties keep
-//!    the earliest seed).
+//!    so every abandoned seed is above the prefix.
+//! 3. The refine phase is sequential and reads only s1 and C1, both read
+//!    off the prefix; the SAP limit and the step budget are functions of
+//!    the seeds it has run. So the winner and every counter are the
+//!    sequential sweep's.
 //!
-//! Stickiness levels are explored strictly in order; the first level that
-//! produces any failure is the last one explored, as in the sequential
-//! sweep. The calibration probe is itself the first stretch of the
-//! sequential sweep, so its failures are carried into the level result
-//! whichever path the plan picks.
+//! The calibration probe is itself the first stretch of the sequential
+//! hunt, so the seeds it ran are carried into the level whichever path
+//! the plan picks.
 //!
 //! # Telemetry
 //!
 //! The engine reports through [`clap_obs`] in two tiers. *Counters*
 //! (`explore.levels`, `explore.failures`, `explore.seeds`,
-//! `explore.steps`) derive from the finalized prefix, so they are
-//! byte-identical for any worker count — the determinism contract extends
-//! to them. Runtime shape that legitimately varies with thread timing
-//! (per-worker seed counts and utilization, pool startup latency,
-//! early-stop drain latency, attribution overrun) goes into histograms
-//! and gauges instead, and each level emits an `explore.level.path` event
-//! naming the path it took and why.
+//! `explore.steps`, `explore.cuts`) count what the sequential sweep runs,
+//! so they are byte-identical for any worker count — the determinism
+//! contract extends to them. Runtime shape that legitimately varies with
+//! thread timing (per-worker seed counts and utilization, pool startup
+//! latency, early-stop drain latency, attribution overrun) goes into
+//! histograms and gauges instead, and each level emits an
+//! `explore.level.path` event naming the path its hunt took and why.
 
 use crate::{ExploreCutover, Pipeline, PipelineConfig, PipelineError, RecordedFailure};
 use clap_ir::AssertId;
@@ -88,13 +108,24 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
-/// Failing runs collected per stickiness level before selection.
-pub(crate) const CANDIDATES: usize = 25;
+/// Failing runs that reached their assert, the first included, at which
+/// a level's refine phase stops.
+const CANDIDATES: u64 = 25;
 
-/// Seeds the adaptive planner sweeps sequentially before deciding whether
-/// the rest of the level is worth handing to the pool. The probe is not
-/// overhead: it is the first stretch of the sequential sweep, and its
-/// failures are carried into the level result.
+/// The refine phase's work budget: a level stops once it has swept this
+/// many times the VM steps its hunt took, and at least [`REFINE_FLOOR`].
+/// Over the `clap_workloads` programs it keeps every recording the
+/// 25-failure sweep made; a factor of 4 loses seqlock's 10-SAP run.
+const REFINE_FACTOR: u64 = 8;
+
+/// The least a level sweeps before its refine phase may stop on the work
+/// budget; a floor of 1,000 steps loses pbzip2's 33-SAP run.
+const REFINE_FLOOR: u64 = 2_000;
+
+/// Seeds the adaptive planner hunts sequentially before deciding whether
+/// the rest of the hunt is worth handing to the pool. The probe is not
+/// overhead: it is the first stretch of the sequential hunt, and the
+/// seeds it ran are carried into the level.
 const PROBE_SEEDS: u64 = 32;
 
 /// Pool spawn-to-parked prior used before any pool has been measured in
@@ -270,9 +301,9 @@ fn pristine_vm<'p>(pipeline: &'p Pipeline, config: &PipelineConfig) -> Vm<'p> {
     vm
 }
 
-/// Continues the sequential sweep of one stickiness level from the end of
+/// Continues the sequential hunt of one stickiness level from the end of
 /// `prefix` (the seeds the calibration probe already ran), on the
-/// caller's reusable scratch VM. Stops at [`CANDIDATES`] failures.
+/// caller's reusable scratch VM. Stops at the level's first failure.
 fn run_sequential<'p>(
     pipeline: &'p Pipeline,
     config: &PipelineConfig,
@@ -356,7 +387,8 @@ pub struct ContentionProfile {
     pub seed_budget: u64,
     /// Worker-pool size.
     pub requested_workers: usize,
-    /// Canonical candidate count the level produced (deterministic).
+    /// Failures the hunt finalized (deterministic): 1 when the level
+    /// fails, since the hunt stops at its first failure, else 0.
     pub failures: usize,
     /// Per-worker attribution, sorted by worker index.
     pub workers: Vec<WorkerAttribution>,
@@ -488,7 +520,7 @@ impl ContentionProfile {
 // Persistent worker pool
 // ---------------------------------------------------------------------------
 
-/// One stickiness level handed to the pool. Workers claim chunks of
+/// One stickiness level's hunt handed to the pool. Workers claim chunks of
 /// `next..budget`, report every completed seed on `tx`, and finish with a
 /// [`WorkerMsg::Done`] carrying their attribution.
 struct LevelTask {
@@ -674,8 +706,8 @@ fn run_level_worker(index: usize, task: &LevelTask, vm: &mut Vm<'_>) {
     let _ = task.tx.send(WorkerMsg::Done(attr));
 }
 
-/// Hands one level to the pool and collects it: `prefix` holds the seeds
-/// the calibration probe already ran, the workers run the rest of
+/// Hands one level's hunt to the pool and collects it: `prefix` holds the
+/// seeds the calibration probe already ran, the workers run the rest of
 /// `prefix.watermark()..budget`.
 fn run_level_on_pool(
     pool: &WorkerPool,
@@ -699,10 +731,10 @@ fn run_level_on_pool(
     collect_level(&rx, &task, pool.workers, prefix, profile)
 }
 
-/// The level collector: feeds every reported seed to the watermark, which
-/// finalizes seeds in order, fires the early stop once the watermark has
-/// its [`CANDIDATES`] failures, and returns once every worker has sent
-/// its `Done` for this level.
+/// The hunt's collector: feeds every reported seed to the watermark, which
+/// finalizes seeds in order, fires the early stop once the prefix ends at
+/// its first failure, and returns once every worker has sent its `Done`
+/// for this level.
 fn collect_level(
     rx: &Receiver<WorkerMsg>,
     task: &LevelTask,
@@ -768,19 +800,19 @@ impl LevelPath {
     }
 }
 
-/// What [`plan_level`] decided for a level. Each plan carries the seeds
-/// the calibration probe ran (none without a probe).
+/// What [`plan_level`] decided for a level's hunt. Each plan carries the
+/// seeds the calibration probe ran (none without a probe).
 enum LevelPlan {
-    /// The level completed entirely during planning (the calibration
-    /// probe filled it, or the budget fit inside the probe).
+    /// The hunt completed entirely during planning (the calibration probe
+    /// found a failure, or the budget fit inside the probe).
     Done(Watermark),
-    /// Run (or finish) the level sequentially.
+    /// Run (or finish) the hunt sequentially.
     Sequential(Watermark),
-    /// Hand the rest of the level to the pool (of `workers` threads).
+    /// Hand the rest of the hunt to the pool (of `workers` threads).
     Parallel { prefix: Watermark, workers: usize },
 }
 
-/// Decides, per level, whether the remaining sweep is worth a worker
+/// Decides, per level, whether the remaining hunt is worth a worker
 /// pool. This runs fresh for every stickiness level — late levels of a
 /// sweep whose early levels were cheap can still choose differently, and
 /// the pool-exists discount means only the *first* parallel level pays
@@ -845,32 +877,25 @@ fn plan_level<'p>(
             }
             let t0 = Instant::now();
             let mut prefix = Watermark::default();
-            let mut filled = false;
             {
                 let vm = scratch.get_or_insert_with(|| pristine_vm(pipeline, config));
                 for seed in 0..probe_n {
                     if prefix.complete(seed, run_seed(stickiness, seed, vm, None)) {
-                        filled = true;
                         break;
                     }
                 }
             }
             let probe_time = t0.elapsed();
-            if filled || probe_n >= budget {
+            if prefix.first.is_some() || probe_n >= budget {
                 return (
                     LevelPlan::Done(prefix),
-                    LevelPath::sequential("level completed inside the calibration probe"),
+                    LevelPath::sequential("hunt completed inside the calibration probe"),
                 );
             }
+            // No failure in the probe: assume the hunt runs the whole
+            // budget.
             let per_seed = probe_time / probe_n as u32;
-            // Seeds the sequential sweep would still run: with f probe
-            // failures, CANDIDATES failures arrive around seed
-            // CANDIDATES·probe_n/f; with none, assume the whole budget.
-            let expected_total = (CANDIDATES as u64 * probe_n)
-                .checked_div(prefix.failures.len() as u64)
-                .map_or(budget, |total| total.min(budget));
-            let remaining = expected_total.saturating_sub(probe_n);
-            let tail = per_seed.mul_f64(remaining as f64);
+            let tail = per_seed.mul_f64((budget - probe_n) as f64);
             let pool_cost = if pool_started {
                 handoff_estimate()
             } else {
@@ -905,8 +930,9 @@ fn plan_level<'p>(
     }
 }
 
-/// Plans and executes one stickiness level, starting the pool lazily on
-/// the first parallel plan of the sweep and reusing it afterwards.
+/// Plans and executes one stickiness level's hunt, starting the pool
+/// lazily on the first parallel plan of the sweep and reusing it
+/// afterwards.
 fn explore_level<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     pipeline: &'env Pipeline,
@@ -989,52 +1015,48 @@ pub(crate) fn profile_contention(
         stickiness,
         seed_budget: config.seed_budget,
         requested_workers: workers,
-        failures: prefix.failures.len(),
+        failures: usize::from(prefix.first.is_some()),
         workers: attributions,
         production_parallel: production.parallel,
         production_reason: production.reason,
     }
 }
 
-/// A level's sweep, finalized in seed order. Seeds may complete in any
+/// A level's hunt, finalized in seed order. Seeds may complete in any
 /// order (the pool reports them as its workers finish), but a seed joins
 /// the contiguous prefix `0..watermark()` only once every smaller seed
-/// has: until then it waits in `pending`. What the level has swept is
-/// therefore read off the prefix alone — its steps and its failures are
-/// exactly the sequential sweep's, whatever ran past it. The prefix stops
-/// growing at [`CANDIDATES`] failures.
+/// has: until then it waits in `pending`. What the hunt has swept is
+/// therefore read off the prefix alone — its steps and its first failure
+/// are exactly the sequential hunt's, whatever ran past it. The prefix
+/// stops growing at its first failure.
 #[derive(Default)]
 struct Watermark {
     next: u64,
     /// VM steps of the seeds in the prefix.
     steps: u64,
-    /// The prefix's failing runs, in seed order.
-    failures: Vec<Candidate>,
+    /// The prefix's failing run: its last seed.
+    first: Option<Candidate>,
     pending: BTreeMap<u64, SeedRun>,
 }
 
 impl Watermark {
-    /// Adds one completed seed; `true` once the level is complete, after
+    /// Adds one completed seed; `true` once the hunt is complete, after
     /// which later seeds are ignored.
     fn complete(&mut self, seed: u64, run: SeedRun) -> bool {
-        if self.full() {
+        if self.first.is_some() {
             return true;
         }
         self.pending.insert(seed, run);
         while let Some(run) = self.pending.remove(&self.next) {
             self.next += 1;
             self.steps += run.steps;
-            self.failures.extend(run.failure);
-            if self.full() {
+            if run.failure.is_some() {
+                self.first = run.failure;
                 self.pending.clear();
                 return true;
             }
         }
         false
-    }
-
-    fn full(&self) -> bool {
-        self.failures.len() >= CANDIDATES
     }
 
     /// The smallest seed not in the prefix yet.
@@ -1043,30 +1065,73 @@ impl Watermark {
     }
 }
 
-/// Applies the selection rule to a level's failures: pick the candidate
-/// with the fewest SAPs (earliest seed on ties).
-fn select(candidates: &[Candidate]) -> Option<&Candidate> {
-    candidates.iter().min_by_key(|f| (f.stats.saps, f.seed))
+/// What one stickiness level swept: the seeds it ran, their VM steps
+/// (a cut run's up to its cut), the runs it cut and the failing runs
+/// that reached their assert.
+#[derive(Debug, Default)]
+struct LevelWork {
+    seeds: u64,
+    steps: u64,
+    cuts: u64,
+    failures: u64,
 }
 
-/// Emits the per-level counters. They are read off the finalized prefix,
-/// so any worker count produces the sequential sweep's values: parallel
-/// overshoot past the stop point is not counted here — it shows up in
-/// the `explore.worker.seeds` histogram instead. `explore.seeds` and
-/// `explore.steps` are the seeds the sequential sweep runs for this level
-/// and their VM steps.
-fn emit_level_counters(prefix: &Watermark) {
+/// The refine phase of a level whose hunt ended at its first failure
+/// `first`, with `work` holding what the hunt swept: runs the seeds after
+/// `first` in order on `vm` and returns the level's winner, the failure
+/// with the fewest SAPs (the earlier seed on ties). Each run is cut at
+/// the SAP that takes it past the best failure so far; the phase stops at
+/// [`CANDIDATES`] failures that reached their assert, at the seed budget,
+/// or once the level has swept its step budget.
+fn refine(
+    config: &PipelineConfig,
+    vm: &mut Vm<'_>,
+    first: Candidate,
+    work: &mut LevelWork,
+) -> Candidate {
+    let step_budget = work.steps.saturating_mul(REFINE_FACTOR).max(REFINE_FLOOR);
+    let mut best = first;
+    work.failures = 1;
+    for seed in first.seed + 1..config.seed_budget {
+        if work.failures >= CANDIDATES || work.steps >= step_budget {
+            break;
+        }
+        vm.set_sap_limit(best.stats.saps);
+        let run = run_seed(first.stickiness, seed, vm, None);
+        work.seeds += 1;
+        work.steps += run.steps;
+        match run.failure {
+            Some(found) => {
+                work.failures += 1;
+                if found.stats.saps < best.stats.saps {
+                    best = found;
+                }
+            }
+            None => work.cuts += u64::from(vm.outcome() == Some(&Outcome::SapLimit)),
+        }
+    }
+    vm.set_sap_limit(u64::MAX);
+    best
+}
+
+/// Emits the per-level counters: what the sequential sweep runs for the
+/// level, so any worker count produces the same values. Parallel
+/// overshoot past the hunt's stop point is not counted here — it shows up
+/// in the `explore.worker.seeds` histogram instead.
+fn emit_level_counters(work: &LevelWork) {
     clap_obs::add("explore.levels", 1);
-    clap_obs::add("explore.failures", prefix.failures.len() as u64);
-    clap_obs::add("explore.seeds", prefix.watermark());
-    clap_obs::add("explore.steps", prefix.steps);
+    clap_obs::add("explore.failures", work.failures);
+    clap_obs::add("explore.seeds", work.seeds);
+    clap_obs::add("explore.steps", work.steps);
+    clap_obs::add("explore.cuts", work.cuts);
 }
 
 /// The engine entry point backing [`Pipeline::record_failure`]. One
 /// thread scope spans the whole stickiness loop: the pool (if any level
 /// goes parallel) is spawned once, parked between levels, and shut down
-/// on the way out — never respawned per level. The selected candidate is
-/// then re-run with the recorders on the caller's scratch VM.
+/// on the way out — never respawned per level. The first level whose hunt
+/// fails is refined on the caller's scratch VM, and its winner re-run
+/// there with the recorders.
 pub(crate) fn record_failure(
     pipeline: &Pipeline,
     config: &PipelineConfig,
@@ -1079,7 +1144,7 @@ pub(crate) fn record_failure(
         let mut scratch: Option<Vm<'_>> = None;
         let mut result = Err(PipelineError::NoFailureFound);
         for &stickiness in &config.stickiness {
-            let prefix = explore_level(
+            let hunt = explore_level(
                 scope,
                 pipeline,
                 config,
@@ -1088,15 +1153,23 @@ pub(crate) fn record_failure(
                 &mut pool,
                 &mut scratch,
             );
-            emit_level_counters(&prefix);
-            if let Some(best) = select(&prefix.failures) {
-                let vm = scratch.get_or_insert_with(|| pristine_vm(pipeline, config));
-                result = record_selected(pipeline, config, vm, best).map(|mut recorded| {
-                    recorded.record_time = start.elapsed();
-                    recorded
-                });
-                break;
-            }
+            let mut work = LevelWork {
+                seeds: hunt.watermark(),
+                steps: hunt.steps,
+                ..LevelWork::default()
+            };
+            let Some(first) = hunt.first else {
+                emit_level_counters(&work);
+                continue;
+            };
+            let vm = scratch.get_or_insert_with(|| pristine_vm(pipeline, config));
+            let best = refine(config, vm, first, &mut work);
+            emit_level_counters(&work);
+            result = record_selected(pipeline, config, vm, &best).map(|mut recorded| {
+                recorded.record_time = start.elapsed();
+                recorded
+            });
+            break;
         }
         if let Some(pool) = &pool {
             pool.shutdown();
@@ -1107,7 +1180,7 @@ pub(crate) fn record_failure(
 
 #[cfg(test)]
 mod tests {
-    use super::{chunk_size, Candidate, SeedRun, Watermark, CANDIDATES};
+    use super::{chunk_size, Candidate, SeedRun, Watermark};
     use clap_ir::AssertId;
     use clap_vm::ExecStats;
 
@@ -1214,21 +1287,17 @@ mod tests {
     }
 
     #[test]
-    fn watermark_ends_the_level_at_its_last_failure() {
-        // Failures arrive out of order; the level ends once the prefix
-        // holds CANDIDATES of them, and seeds past that are not counted.
-        let n = CANDIDATES as u64;
+    fn watermark_ends_the_hunt_at_its_first_failure() {
+        // Seeds 1 and 3 fail and arrive first; the hunt ends at seed 1
+        // once seed 0 is in, and seeds past it are not counted.
         let mut w = Watermark::default();
-        for seed in (1..n).rev() {
-            assert!(!w.complete(seed, fail(seed, 2)));
-        }
-        assert!(w.failures.is_empty(), "seed 0 still in flight");
-        assert!(!w.complete(n + 1, fail(n + 1, 2)));
-        assert!(w.complete(0, fail(0, 2)));
-        assert!(w.complete(n, fail(n, 2)), "overshoot is ignored");
-        assert_eq!((w.watermark(), w.steps), (n, 2 * n));
-        let seeds: Vec<u64> = w.failures.iter().map(|f| f.seed).collect();
-        assert_eq!(seeds, (0..n).collect::<Vec<_>>());
+        assert!(!w.complete(3, fail(3, 30)));
+        assert!(!w.complete(1, fail(1, 10)));
+        assert!(w.first.is_none(), "seed 0 still in flight");
+        assert!(w.complete(0, pass(1)));
+        assert!(w.complete(2, pass(20)), "overshoot is ignored");
+        assert_eq!((w.watermark(), w.steps), (2, 11));
+        assert_eq!(w.first.map(|f| f.seed), Some(1));
     }
 
     #[test]

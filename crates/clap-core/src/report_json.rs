@@ -297,6 +297,7 @@ fn outcome_to_value(o: &Outcome) -> Value {
         ]),
         Outcome::Deadlock => obj(vec![("kind", Value::Str("deadlock".to_owned()))]),
         Outcome::StepLimit => obj(vec![("kind", Value::Str("step_limit".to_owned()))]),
+        Outcome::SapLimit => obj(vec![("kind", Value::Str("sap_limit".to_owned()))]),
         Outcome::Fault { thread, message } => obj(vec![
             ("kind", Value::Str("fault".to_owned())),
             ("thread", nu(u64::from(thread.0))),
@@ -314,6 +315,7 @@ fn outcome_from_value(v: &Value) -> Result<Outcome, String> {
         },
         "deadlock" => Outcome::Deadlock,
         "step_limit" => Outcome::StepLimit,
+        "sap_limit" => Outcome::SapLimit,
         "fault" => Outcome::Fault {
             thread: ThreadId(u32::try_from(get_u64(v, "thread")?).map_err(|_| "bad thread id")?),
             message: get_str(v, "message")?.to_owned(),

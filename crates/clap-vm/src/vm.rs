@@ -50,6 +50,10 @@ pub enum Outcome {
     /// cycle until the limit (see [`Vm::run`]). The run's
     /// [`ExecStats`] count the steps actually executed.
     StepLimit,
+    /// The run took more SAPs than [`Vm::set_sap_limit`] allows. Its
+    /// [`ExecStats`] count the SAPs and steps up to and including the step
+    /// that passed the limit.
+    SapLimit,
     /// A runtime fault (out-of-bounds index, unlock of unowned mutex, …).
     Fault {
         /// The faulting thread.
@@ -290,6 +294,7 @@ pub struct Vm<'p> {
     stats: ExecStats,
     outcome: Option<Outcome>,
     step_limit: u64,
+    sap_limit: u64,
     announced_main: bool,
     /// The enabled-action set, kept between steps: [`Vm::run`] and
     /// [`Vm::enabled`] rebuild it only when `enabled_dirty` is set.
@@ -420,6 +425,7 @@ impl<'p> Vm<'p> {
             stats,
             outcome: None,
             step_limit: 200_000_000,
+            sap_limit: u64::MAX,
             announced_main: false,
             enabled: Vec::new(),
             enabled_dirty: true,
@@ -432,6 +438,15 @@ impl<'p> Vm<'p> {
     /// [`Outcome::StepLimit`].
     pub fn set_step_limit(&mut self, limit: u64) {
         self.step_limit = limit;
+    }
+
+    /// Caps the SAPs a run may take: the step that takes SAP `limit + 1`
+    /// is the run's last, and the run ends with [`Outcome::SapLimit`].
+    /// A run that stays within the limit runs exactly as without it.
+    /// `u64::MAX`, the default, clears the limit. Like the step limit, it
+    /// survives [`Vm::reset`].
+    pub fn set_sap_limit(&mut self, limit: u64) {
+        self.sap_limit = limit;
     }
 
     /// The program being executed.
@@ -1479,6 +1494,9 @@ impl<'p> Vm<'p> {
         let i = thread.next_sap_index;
         thread.next_sap_index += 1;
         self.stats.saps += 1;
+        if self.stats.saps > self.sap_limit {
+            self.outcome = Some(Outcome::SapLimit);
+        }
         i
     }
 
@@ -2533,6 +2551,41 @@ mod tests {
         vm.set_step_limit(1000);
         let o = vm.run(&mut FifoScheduler, &mut NullMonitor);
         assert_eq!(o, Outcome::StepLimit);
+    }
+
+    #[test]
+    fn sap_limit_cuts_only_runs_past_it() {
+        let p = parse(
+            "global int x = 0;
+             fn w() { x = 1; let v: int = x; x = v + 1; }
+             fn main() { let a: thread = fork w(); join a; assert(x == 3, \"always\"); }",
+        )
+        .unwrap();
+        let mut vm = Vm::new(&p, MemModel::Sc);
+        let o = vm.run(&mut FifoScheduler, &mut NullMonitor);
+        assert!(o.is_failure(), "{o:?}");
+        let full = *vm.stats();
+        assert!(full.saps >= 4, "fork, three accesses of x, join, …");
+        // Past the limit: the run ends on the step that takes SAP
+        // limit + 1, and is not a failure.
+        for limit in 0..full.saps {
+            vm.reset();
+            vm.set_sap_limit(limit);
+            let o = vm.run(&mut FifoScheduler, &mut NullMonitor);
+            assert_eq!(o, Outcome::SapLimit, "limit {limit}");
+            assert!(!o.is_failure());
+            assert_eq!(vm.stats().saps, limit + 1);
+            assert!(vm.stats().steps < full.steps);
+        }
+        // At the limit: the run reports its assert, exactly as without one.
+        vm.reset();
+        vm.set_sap_limit(full.saps);
+        assert_eq!(vm.run(&mut FifoScheduler, &mut NullMonitor), o);
+        assert_eq!(*vm.stats(), full);
+        // Cleared, it stays cleared across resets.
+        vm.set_sap_limit(u64::MAX);
+        vm.reset();
+        assert_eq!(vm.run(&mut FifoScheduler, &mut NullMonitor), o);
     }
 
     #[test]

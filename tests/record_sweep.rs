@@ -13,10 +13,13 @@
 //! Every test takes `clap_obs::test_lock()` first: the counters come from
 //! the process-global collector, which every sweep in the file feeds.
 
-use clap_core::Pipeline;
+use clap_core::{Pipeline, PipelineConfig};
+use clap_vm::{MemModel, NullMonitor, RandomScheduler, Vm};
+use proptest::prelude::*;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 
 const SNAPSHOT: &str = "tests/snapshots/record_work.snap";
 
@@ -63,4 +66,54 @@ fn record_sweep_work_is_pinned() {
         "record sweep work drifted from the snapshot; if the change is intended, \
          regenerate with CLAP_BLESS=1 cargo test --test record_sweep"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// No cut discards a winner: over the seeds the failing level swept,
+    /// the selected seed is the `(saps, seed)` minimum of the same seeds
+    /// run to their end, with no SAP limit.
+    #[test]
+    fn refine_selects_the_uncut_minimum(seed in 0u64..1_000_000) {
+        let _l = clap_obs::test_lock();
+        let spec = clap_check::ProgramSpec::from_seed(seed);
+        let pipeline = Pipeline::from_source(&spec.source()).expect("generated source parses");
+        for model in [MemModel::Sc, MemModel::Tso, MemModel::Pso] {
+            let mut config = PipelineConfig::new(model);
+            config.seed_budget = 400;
+            config.stickiness = vec![0.7, 0.3];
+            clap_obs::reset();
+            clap_obs::enable();
+            let recorded = pipeline.record_failure(&config);
+            let counters = clap_obs::snapshot().counters;
+            clap_obs::disable();
+            let Ok(recorded) = recorded else {
+                continue;
+            };
+            // Every level before the failing one swept the whole budget.
+            let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+            let swept = counter("explore.seeds") - (counter("explore.levels") - 1) * config.seed_budget;
+            let mut vm = Vm::with_compiled(
+                pipeline.program(),
+                Arc::clone(pipeline.compiled()),
+                model,
+                pipeline.sharing().shared_spec(),
+            );
+            vm.set_step_limit(config.step_limit);
+            let uncut = (0..swept)
+                .filter_map(|s| {
+                    vm.reset();
+                    let mut sched = RandomScheduler::with_stickiness(s, recorded.stickiness);
+                    let outcome = vm.run(&mut sched, &mut NullMonitor);
+                    outcome.is_failure().then(|| (vm.stats().saps, s))
+                })
+                .min();
+            let selected = Some((recorded.stats.saps, recorded.seed));
+            prop_assert!(
+                uncut == selected,
+                "gen seed {seed} under {model:?}: selected {selected:?}, uncut minimum {uncut:?}"
+            );
+        }
+    }
 }
