@@ -1,6 +1,8 @@
 //! Emits `BENCH_pipeline.jsonl`: each pipeline phase (record, decode,
-//! symex, constrain, solve, replay) per `clap_workloads` program, from the
-//! phase timings every `Pipeline::reproduce` returns.
+//! symex, constrain, solve, replay) per `clap_workloads` program. The
+//! record phase is timed over batches of `Pipeline::record_failure` calls
+//! of at least 20 ms each; the other phases come from the phase timings
+//! every `Pipeline::reproduce` returns.
 //!
 //! The artifact is the standard `clap-obs` JSONL stream (validate with
 //! the `obsck` binary): one `bench.pipeline` header event and one

@@ -7,11 +7,12 @@
 //! `bench.pipeline` / `bench.pipeline.cell` events; `obsck` enforces the
 //! field schema. Each cell carries the best wall-clock of one
 //! (workload, phase) and the work that phase did, so a trajectory tells
-//! "did less work" from "did the same work faster":
+//! "did less work" from "did the same work faster". The record phase is
+//! timed on its own, over batches of calls (see [`record_millis`]):
 //!
 //! | phase | work |
 //! |---|---|
-//! | `record` | seeds the record sweep ran |
+//! | `record` | VM steps the record sweep ran (`explore.steps`) |
 //! | `decode` | path-log bytes decoded |
 //! | `symex` | shared access points of the trace |
 //! | `constrain` | constraint clauses |
@@ -22,10 +23,14 @@ use crate::{solver_for, workload_config};
 use clap_core::{Pipeline, PipelineConfig, ReproductionReport};
 use clap_ir::Program;
 use clap_workloads::Workload;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The phases of one reproduction, in pipeline order.
 pub const PHASES: [&str; 6] = ["record", "decode", "symex", "constrain", "solve", "replay"];
+
+/// The least one batch of record calls lasts: long enough that a sweep of
+/// a few µs is timed over many calls rather than once.
+const RECORD_BATCH: Duration = Duration::from_millis(20);
 
 /// One (workload, phase) measurement.
 #[derive(Debug, Clone)]
@@ -60,6 +65,29 @@ fn config_for(workload: &Workload, program: &Program) -> PipelineConfig {
     config
 }
 
+/// The record phase's time per call, in milliseconds: the best of
+/// `repeats` batches of `record_failure` calls, each batch lasting at
+/// least [`RECORD_BATCH`].
+fn record_millis(pipeline: &Pipeline, config: &PipelineConfig, name: &str, repeats: u32) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..repeats {
+        let start = Instant::now();
+        let mut calls = 0u32;
+        let elapsed = loop {
+            pipeline
+                .record_failure(config)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            calls += 1;
+            let elapsed = start.elapsed();
+            if elapsed >= RECORD_BATCH {
+                break elapsed;
+            }
+        };
+        best = best.min(elapsed.as_secs_f64() * 1e3 / f64::from(calls));
+    }
+    best
+}
+
 /// Every phase's duration in a report, in [`PHASES`] order.
 fn phase_millis(report: &ReproductionReport) -> [f64; 6] {
     let p = &report.phases;
@@ -68,7 +96,8 @@ fn phase_millis(report: &ReproductionReport) -> [f64; 6] {
 
 /// Runs the sweep. Each workload is reproduced once untimed with the
 /// [`clap_obs`] collector on, which gives the work counts, then
-/// `repeats` times with it off; each phase keeps its best time.
+/// `repeats` times with it off; each phase after record keeps its best
+/// time, and the record phase takes [`record_millis`].
 ///
 /// # Panics
 ///
@@ -100,7 +129,7 @@ pub fn run(repeats: u32) -> PipelineBench {
         let counters = clap_obs::snapshot().counters;
         let counter = |n: &str| counters.get(n).copied().unwrap_or(0);
         let work = [
-            counter("explore.seeds"),
+            counter("explore.steps"),
             report.log_bytes as u64,
             report.saps as u64,
             report.constraints.total_clauses() as u64,
@@ -114,6 +143,7 @@ pub fn run(repeats: u32) -> PipelineBench {
                 *b = b.min(m);
             }
         }
+        best[0] = record_millis(&pipeline, &config, name, repeats);
         for ((phase, millis), work) in PHASES.into_iter().zip(best).zip(work) {
             eprintln!("{name}: phase={phase} best={millis:.3}ms work={work}");
             cells.push(Cell {
