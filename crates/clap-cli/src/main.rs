@@ -21,8 +21,10 @@
 //! `--shrink-out` (default `check-counterexample.clap`), and exit
 //! non-zero. Soft notes (the randomized record phase missing a rare
 //! interleaving, a solver giving up within budget) are reported but do
-//! not fail the run. `--model` takes a comma-separated list for `check`;
-//! the other commands take a single model.
+//! not fail the run. The last line of `check`'s output, `tally: ...`,
+//! counts each verdict over every (program, model) pair. `--model` takes
+//! a comma-separated list for `check`; the other commands take a single
+//! model.
 //!
 //! `M` is one of `sc` (default), `tso`, `pso`, `c11`. `--workers` sets the
 //! record-phase exploration pool size (0, the default, means one worker
@@ -51,6 +53,7 @@ use clap_parallel::ParallelConfig;
 use clap_serve::{Client, ServeConfig, Server, SolverKind, SubmitRequest};
 use clap_solver::SolverConfig;
 use clap_vm::{MemModel, NullMonitor, RandomScheduler, Vm};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -749,10 +752,14 @@ fn check(options: &Options) -> Result<(), String> {
 
     let mut hard: Option<(String, String)> = None;
     let mut checked = 0usize;
+    let mut tally: BTreeMap<&'static str, usize> = BTreeMap::new();
     for (name, source) in &targets {
         let report =
             clap_check::diff_source(source, &config).map_err(|e| format!("{name}: {e}"))?;
         checked += 1;
+        for outcome in &report.outcomes {
+            *tally.entry(outcome.verdict.tag()).or_default() += 1;
+        }
         let ok = report.ok();
         let is_fuzz_target = name.starts_with("fuzz:")
             || name.starts_with("chan-fuzz:")
@@ -769,11 +776,17 @@ fn check(options: &Options) -> Result<(), String> {
         }
     }
     flush(&observer);
-    let Some((name, source)) = hard else {
+    if hard.is_none() {
         println!(
             "check: {checked} program(s) x {} model(s): no hard disagreements",
             config.models.len()
         );
+    }
+    // The last line counts each verdict over every (program, model) pair;
+    // the tags sort hard disagreements (upper case) first.
+    let tally: Vec<String> = tally.iter().map(|(tag, n)| format!("{tag} {n}")).collect();
+    println!("tally: {}", tally.join(", "));
+    let Some((name, source)) = hard else {
         return Ok(());
     };
 
