@@ -1,14 +1,15 @@
 //! Diagnostic: where do parallel exploration workers spend their wall
-//! time? Runs one stickiness level of the record sweep in profiled mode
-//! ([`clap_core::Pipeline::profile_contention`]) and prints the
-//! per-worker utilization table — direct evidence for ROADMAP item 2
-//! (the crossbeam sweep losing to sequential on small workloads).
+//! time? Runs one stickiness level's hunt of the record sweep in profiled
+//! mode ([`clap_core::Pipeline::profile_contention`]) and prints the
+//! per-worker utilization table — the evidence for why the pool loses to
+//! the sequential sweep on small workloads.
 //!
 //! ```text
 //! dbgcontend [workload-name] [--workers N] [--trace t.json] [--metrics m.jsonl]
 //! ```
 //!
-//! Default workload: `sim_race`, the workload ROADMAP item 2 cites.
+//! Default workload: `sim_race`, a level that finishes within the pool's
+//! startup.
 //! `--workers 0` (the default) means one worker per core.
 //!
 //! Every row attributes one worker's wall time across five categories —
@@ -61,7 +62,7 @@ fn main() {
     let profile = pipeline.profile_contention(&config, stickiness);
 
     println!(
-        "workload {name}  stickiness {stickiness}  seeds {}  workers {}  candidates {}",
+        "workload {name}  stickiness {stickiness}  seeds {}  workers {}  failures {}",
         profile.seed_budget, profile.requested_workers, profile.failures
     );
     println!(
@@ -125,11 +126,11 @@ fn main() {
         .max_by_key(|&(_, d)| d)
         .expect("five categories");
     let hint = match dom {
-        "claim" => "cross-thread coordination (ROADMAP 2: fine-grained atomic seed claiming)",
-        "restore" => "per-seed VM restore (ROADMAP 2: snapshot restore cost)",
-        "rebuild" => "enabled-action rebuild (ROADMAP 1: the step-loop bound)",
+        "claim" => "cross-thread coordination (atomic seed claims and result sends)",
+        "restore" => "per-seed VM restore",
+        "rebuild" => "enabled-action rebuild",
         "step" => "VM stepping — compute-bound, the pool should scale with cores",
-        _ => "idle — startup, post-stop drain, scheduler gaps (ROADMAP 2: watermark finalizer)",
+        _ => "idle — startup, post-stop drain, scheduler gaps",
     };
     println!(
         "dominant: {dom} ({:.1}% of pool wall) — {hint}",

@@ -321,9 +321,9 @@ fn run_sequential<'p>(
 }
 
 /// Where one parallel-sweep worker spent its wall time, measured by the
-/// contention profiler ([`Pipeline::profile_contention`]). The taxonomy
-/// follows ROADMAP item 2's suspect list so the profile is direct
-/// evidence for (or against) each suspect:
+/// contention profiler ([`Pipeline::profile_contention`]). Each category
+/// is one suspected cost of the pool, so the profile is direct evidence
+/// for (or against) each:
 ///
 /// - `claim`: the chunked `fetch_add` seed claim, the stop check, and the
 ///   result send to the watermark collector — all cross-thread

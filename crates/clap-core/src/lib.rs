@@ -419,19 +419,22 @@ impl Pipeline {
     /// records the selected failing run with the CLAP recorder and returns
     /// the artifact.
     ///
-    /// Several failing runs (up to 25) are collected and the one with the
-    /// fewest shared access points is kept: for store-buffer bugs the
-    /// cleanest failing run is near-sequential with delayed drains, and a
-    /// small trace is what keeps the offline search tractable (the paper
-    /// triggers failures with carefully placed timing delays, which has
-    /// the same minimal-perturbation effect).
+    /// The failing run with the fewest shared access points among the
+    /// failures found within a work budget is kept: for store-buffer bugs
+    /// the cleanest failing run is near-sequential with delayed drains,
+    /// and a small trace is what keeps the offline search tractable (the
+    /// paper triggers failures with carefully placed timing delays, which
+    /// has the same minimal-perturbation effect). After the first failure
+    /// a run is cut as soon as it can no longer win (see the `explore`
+    /// module).
     ///
     /// The sweep runs every seed bare and keeps only what selection
     /// reads; the selected seed alone is re-run with the recorder (and
     /// the sync-order recorder, when enabled) attached. With
-    /// [`PipelineConfig::explore_workers`] ≠ 1 the sweep fans out over a
-    /// worker pool; the exploration engine guarantees the returned
-    /// artifact is identical to the sequential sweep's.
+    /// [`PipelineConfig::explore_workers`] ≠ 1 the hunt for the first
+    /// failure fans out over a worker pool; the exploration engine
+    /// guarantees the returned artifact is identical to the sequential
+    /// sweep's.
     ///
     /// # Errors
     ///
