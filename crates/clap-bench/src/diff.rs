@@ -1,6 +1,6 @@
 //! Trajectory comparison behind the `benchdiff` binary and the CI perf
-//! gate: parses two `BENCH_*.jsonl` artifacts (any of the explore, vm,
-//! pipeline or serve trajectories), pairs their benchmark cells, and
+//! gate: parses two `BENCH_*.jsonl` artifacts (any of the vm, pipeline
+//! or serve trajectories), pairs their benchmark cells, and
 //! classifies each pair against a noise margin. Every metric here is *lower-is-better*
 //! wall time, so a positive delta is a slowdown.
 //!
@@ -30,16 +30,10 @@ struct CellSpec {
     work: Option<&'static str>,
 }
 
-/// The four bench trajectories the repo commits. `bench_serve` emits
+/// The three bench trajectories the repo commits. `bench_serve` emits
 /// many samples per (program, phase) cell — one per submission — so
 /// samples are mean-aggregated before comparison.
-const CELL_SPECS: [CellSpec; 4] = [
-    CellSpec {
-        event: "bench.explore.cell",
-        key_fields: &["workload", "seed_budget", "workers"],
-        metric: "millis",
-        work: None,
-    },
+const CELL_SPECS: [CellSpec; 3] = [
     CellSpec {
         event: "bench.vm.cell",
         key_fields: &["workload", "phase"],
@@ -456,8 +450,8 @@ mod tests {
 
     #[test]
     fn within_margin_is_noise() {
-        let old = artifact(&[("bench.explore.cell", "sim_race 400 2", 1.0)]);
-        let new = artifact(&[("bench.explore.cell", "sim_race 400 2", 1.2)]);
+        let old = artifact(&[("bench.serve.cell", "peterson warm", 1.0)]);
+        let new = artifact(&[("bench.serve.cell", "peterson warm", 1.2)]);
         assert!(!diff(&old, &new, 25.0).unwrap().has_failures());
         assert!(diff(&old, &new, 10.0).unwrap().has_failures());
     }
@@ -509,13 +503,13 @@ mod tests {
             ("bench.vm.cell", "sim_race sweep", 1.0, 17936),
             ("bench.vm.cell", "sim_race oracle", 9.0, 3000),
             ("bench.pipeline.cell", "pfscan solve", 6.0, 40),
-            ("bench.explore.cell", "sim_race 400 2", 1.0, 0),
+            ("bench.serve.cell", "peterson warm", 1.0, 0),
         ]);
         let new = artifact_with_work(&[
             ("bench.vm.cell", "sim_race sweep", 0.5, 17936),
             ("bench.vm.cell", "sim_race oracle", 9.0, 3001),
             ("bench.pipeline.cell", "pfscan solve", 6.0, 39),
-            ("bench.explore.cell", "sim_race 400 2", 1.0, 0),
+            ("bench.serve.cell", "peterson warm", 1.0, 0),
         ]);
         assert!(!diff(&old, &old, 25.0).unwrap().has_failures());
         for margin in [25.0, 1e9] {
@@ -543,8 +537,8 @@ mod tests {
         assert!(md.contains("| 17936 |"), "{md}");
         assert!(md.contains("2 with changed work"), "{md}");
         // Families without a work count never compare one.
-        let explore = d.cells.iter().find(|c| c.bench == "bench.explore.cell");
-        assert_eq!(explore.unwrap().work, (None, None));
+        let serve = d.cells.iter().find(|c| c.bench == "bench.serve.cell");
+        assert_eq!(serve.unwrap().work, (None, None));
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The benchmark harness: shared measurement helpers behind the
 //! `table1`/`table2`/`table3` and `figure2`/`figure3`/`figure4` binaries
 //! that regenerate every table and figure of the paper's evaluation (§6),
-//! plus the trajectory sweeps behind `bench_explore`, `bench_vm`,
-//! `bench_pipeline` and `bench_serve`.
+//! plus the trajectory sweeps behind `bench_vm`, `bench_pipeline` and
+//! `bench_serve`.
 
 pub mod diff;
-pub mod explore;
 pub mod pipeline;
 pub mod serve;
 pub mod vm;
@@ -90,9 +89,6 @@ pub fn workload_config(workload: &Workload) -> PipelineConfig {
         timeout: Some(Duration::from_secs(300)),
         max_decisions: 0,
     });
-    // The table binaries record 25 failure candidates per workload; fan
-    // that sweep over all cores (selection is deterministic regardless).
-    config.explore_workers = 0;
     config
 }
 

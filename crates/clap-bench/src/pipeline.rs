@@ -57,10 +57,9 @@ pub struct PipelineBench {
 }
 
 /// The configuration a workload is measured under: its own model and
-/// exploration hints, one record worker, and [`solver_for`] its program.
+/// exploration hints, and [`solver_for`] its program.
 fn config_for(workload: &Workload, program: &Program) -> PipelineConfig {
     let mut config = workload_config(workload);
-    config.explore_workers = 1;
     config.solver = solver_for(program, Duration::from_secs(300));
     config
 }

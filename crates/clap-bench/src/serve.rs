@@ -87,6 +87,17 @@ fn timed_submission(client: &Client, name: &str, request: &SubmitRequest) -> (u6
     (t0.elapsed().as_micros() as u64, done.cached)
 }
 
+/// The submission of one corpus program: under the memory model of the
+/// `clap_workloads` program of the same name, else SC. The lock-free
+/// examples fail only under C11.
+fn corpus_request(name: &str, source: &str) -> SubmitRequest {
+    let mut request = SubmitRequest::new(source);
+    if let Some(workload) = clap_workloads::by_name(name) {
+        request.model = workload.model;
+    }
+    request
+}
+
 /// A program whose assertion never fails: reproduction sweeps the whole
 /// seed budget, which makes job duration proportional to `budget` — the
 /// controllable load for the shed phase.
@@ -122,7 +133,7 @@ pub fn run(corpus: &[(String, String)], clients: usize) -> ServeBench {
     // submission runs a full pipeline.
     let mut samples = Vec::new();
     for (name, source) in corpus {
-        let (latency_us, cached) = timed_submission(&client, name, &SubmitRequest::new(source));
+        let (latency_us, cached) = timed_submission(&client, name, &corpus_request(name, source));
         assert!(!cached, "{name}: cold submission answered from cache");
         eprintln!("cold: {name} {latency_us}us");
         samples.push(Sample {
@@ -142,7 +153,7 @@ pub fn run(corpus: &[(String, String)], clients: usize) -> ServeBench {
                 let client = Client::new(addr.clone());
                 for (name, source) in corpus {
                     let (latency_us, cached) =
-                        timed_submission(&client, name, &SubmitRequest::new(source));
+                        timed_submission(&client, name, &corpus_request(name, source));
                     assert!(cached, "{name}: warm submission missed the cache");
                     warm.lock().unwrap().push(Sample {
                         program: name.clone(),

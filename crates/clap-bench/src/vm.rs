@@ -13,7 +13,7 @@ use clap_check::OracleConfig;
 use clap_vm::{NullMonitor, RandomScheduler, Vm};
 use std::time::Instant;
 
-/// Workloads swept (small → mid-size, same trio as `bench_explore`).
+/// Workloads swept (small → mid-size).
 pub const WORKLOADS: [&str; 3] = ["sim_race", "pbzip2", "bakery"];
 
 /// Seeds per sweep-phase measurement.

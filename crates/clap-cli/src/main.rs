@@ -8,8 +8,8 @@
 //!                          [--shrink-out PATH] [--budget N] [--solver ...]
 //! clap-reproduce dump      prog.clap                    pretty-print the lowered CFG
 //! clap-reproduce run       prog.clap [--model M] [--seed N] [--stickiness S]
-//! clap-reproduce explore   prog.clap [--model M] [--budget N] [--workers N] [--cutover N]
-//! clap-reproduce reproduce prog.clap [--model M] [--budget N] [--workers N] [--cutover N]
+//! clap-reproduce explore   prog.clap [--model M] [--budget N]
+//! clap-reproduce reproduce prog.clap [--model M] [--budget N]
 //!                          [--solver seq|par|auto] [--solve-timeout SECS] [--sync-order]
 //! ```
 //!
@@ -26,17 +26,13 @@
 //! a comma-separated list for `check`; the other commands take a single
 //! model.
 //!
-//! `M` is one of `sc` (default), `tso`, `pso`, `c11`. `--workers` sets the
-//! record-phase exploration pool size (0, the default, means one worker
-//! per core); any value returns the same artifact. Whether a sweep
-//! actually uses the pool is decided per stickiness level by an adaptive
-//! cutover (a calibration probe versus the measured pool startup cost);
-//! `--cutover N` replaces that estimate with a fixed seed-budget
-//! threshold (`--cutover 0` forces the pool on). `--solver auto` runs
-//! the adaptive portfolio: the parallel engine escalates up a
-//! preemption-bound ladder, then the sequential solver takes the rest of
-//! the `--solve-timeout` budget. `--parallel` is shorthand for
-//! `--solver par`.
+//! `M` is one of `sc` (default), `tso`, `pso`, `c11`. `explore` and
+//! `reproduce` record with one sequential sweep of up to `--budget`
+//! seeds per stickiness level; `--workers` sizes only the `serve`
+//! daemon's job pool. `--solver auto` runs the adaptive portfolio: the
+//! parallel engine escalates up a preemption-bound ladder, then the
+//! sequential solver takes the rest of the `--solve-timeout` budget.
+//! `--parallel` is shorthand for `--solver par`.
 //!
 //! Every command that executes the program (`check`, `run`, `explore`,
 //! `reproduce`) also accepts the observability flags: `--trace <path>`
@@ -45,9 +41,7 @@
 //! and `-v`/`--verbose` prints the collector summary to stderr.
 
 use clap_check::{AtomicSpec, ChanSpec, DiffConfig, ProgramSpec};
-use clap_core::{
-    AutoConfig, ExploreCutover, Pipeline, PipelineConfig, ReproductionReport, SolverChoice,
-};
+use clap_core::{AutoConfig, Pipeline, PipelineConfig, ReproductionReport, SolverChoice};
 use clap_obs::Observer;
 use clap_parallel::ParallelConfig;
 use clap_serve::{Client, ServeConfig, Server, SolverKind, SubmitRequest};
@@ -79,10 +73,8 @@ const USAGE: &str = "usage:
                            [--budget N] [--solver seq|par|auto] [--solve-timeout SECS]
   clap-reproduce dump      <prog.clap>
   clap-reproduce run       <prog.clap> [--model sc|tso|pso|c11] [--seed N] [--stickiness S]
-  clap-reproduce explore   <prog.clap> [--model sc|tso|pso|c11] [--budget N] [--workers N]
-                           [--cutover N]
-  clap-reproduce reproduce <prog.clap> [--model sc|tso|pso|c11] [--budget N] [--workers N]
-                           [--cutover N]
+  clap-reproduce explore   <prog.clap> [--model sc|tso|pso|c11] [--budget N]
+  clap-reproduce reproduce <prog.clap> [--model sc|tso|pso|c11] [--budget N]
                            [--solver seq|par|auto] [--solve-timeout SECS] [--sync-order]
                            [--json]
   clap-reproduce serve     [--addr HOST:PORT] [--workers N] [--queue-cap N]
@@ -139,8 +131,7 @@ struct Options {
     seed: u64,
     stickiness: f64,
     budget: u64,
-    workers: usize,
-    cutover: Option<u64>,
+    workers: Option<usize>,
     solver: SolverFlag,
     solve_timeout: Option<Duration>,
     sync_order: bool,
@@ -207,8 +198,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         seed: 0,
         stickiness: 0.7,
         budget: 20_000,
-        workers: 0,
-        cutover: None,
+        workers: None,
         solver: SolverFlag::Sequential,
         solve_timeout: None,
         sync_order: false,
@@ -259,11 +249,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
-                options.workers = v.parse().map_err(|_| format!("bad worker count `{v}`"))?;
-            }
-            "--cutover" => {
-                let v = it.next().ok_or("--cutover needs a value")?;
-                options.cutover = Some(v.parse().map_err(|_| format!("bad cutover `{v}`"))?);
+                let n = v.parse().map_err(|_| format!("bad worker count `{v}`"))?;
+                options.workers = Some(n);
             }
             "--parallel" => options.solver = SolverFlag::Parallel,
             "--solver" => {
@@ -377,6 +364,9 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err("missing command".into());
     };
     let options = parse_options(rest)?;
+    if options.workers.is_some() && command != "serve" {
+        return Err("`--workers` sizes the `serve` daemon's job pool only".into());
+    }
     match command.as_str() {
         "check" => return check(&options),
         "serve" => return serve(&options),
@@ -435,10 +425,6 @@ fn run(args: &[String]) -> Result<(), String> {
             let pipeline = Pipeline::new(program);
             let mut config = PipelineConfig::new(options.single_model()?);
             config.seed_budget = options.budget;
-            config.explore_workers = options.workers;
-            if let Some(n) = options.cutover {
-                config.explore_cutover = ExploreCutover::Fixed(n);
-            }
             let result = pipeline.record_failure(&config);
             flush(&observer);
             match result {
@@ -469,10 +455,6 @@ fn run(args: &[String]) -> Result<(), String> {
             let mut config =
                 PipelineConfig::new(options.single_model()?).with_observer(options.observer());
             config.seed_budget = options.budget;
-            config.explore_workers = options.workers;
-            if let Some(n) = options.cutover {
-                config.explore_cutover = ExploreCutover::Fixed(n);
-            }
             config.solver = match options.solver {
                 SolverFlag::Sequential => SolverChoice::Sequential(SolverConfig {
                     timeout: options.solve_timeout,
@@ -543,10 +525,9 @@ fn serve(options: &Options) -> Result<(), String> {
     }
     let server = Server::start(ServeConfig {
         addr: options.addr.clone(),
-        workers: if options.workers == 0 {
-            2
-        } else {
-            options.workers
+        workers: match options.workers {
+            None | Some(0) => 2,
+            Some(n) => n,
         },
         queue_cap: options.queue_cap,
         cache_dir: options.cache_dir.clone().map(Into::into),

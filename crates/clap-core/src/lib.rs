@@ -43,7 +43,6 @@ mod explore;
 mod portfolio;
 mod report_json;
 
-pub use explore::{ContentionProfile, WorkerAttribution, ATTRIBUTION_CATEGORIES};
 pub use portfolio::{
     solve_auto, AttemptOutcome, AutoConfig, EngineKind, PortfolioAttempt, PortfolioOutcome,
     PortfolioReport,
@@ -64,25 +63,6 @@ pub enum SolverChoice {
     Auto(AutoConfig),
 }
 
-/// How [`Pipeline::record_failure`] decides, per stickiness level,
-/// whether the seed sweep runs on the persistent worker pool or stays
-/// sequential. The determinism contract makes the choice unobservable in
-/// the artifact — sequential and parallel sweeps return byte-identical
-/// results by construction — so this is purely a performance knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExploreCutover {
-    /// Decide per level from a short sequential calibration probe: go
-    /// parallel only when the estimated remaining sequential tail
-    /// amortizes the *measured* pool startup (or handoff) cost on the
-    /// usable cores. The default.
-    Adaptive,
-    /// Explicit seed-budget threshold: levels whose budget is below the
-    /// value run sequentially, everything else goes to the pool.
-    /// `Fixed(0)` forces the pool on for every level (used by tests and
-    /// the contention profiler).
-    Fixed(u64),
-}
-
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -100,14 +80,10 @@ pub struct PipelineConfig {
     /// a little recording synchronization to collapse the locking and
     /// wait/signal constraints into hard edges.
     pub record_sync_order: bool,
-    /// Worker threads for the record-phase seed sweep (0 = one per
-    /// available core). Any value returns the same artifact as `1`: the
-    /// exploration engine selects candidates deterministically regardless
-    /// of thread timing.
+    /// Unused: the record sweep is one sequential loop, and nothing reads
+    /// this field. It remains so that code which still assigns it keeps
+    /// compiling.
     pub explore_workers: usize,
-    /// Sequential/parallel cutover policy for the record-phase sweep,
-    /// re-evaluated for every stickiness level (see [`ExploreCutover`]).
-    pub explore_cutover: ExploreCutover,
     /// Observability sinks for this run. When any sink is configured,
     /// [`Pipeline::reproduce`] installs the global [`clap_obs`] collector
     /// before the record phase and flushes the sinks afterwards; the
@@ -128,7 +104,6 @@ impl PipelineConfig {
             solver: SolverChoice::Sequential(SolverConfig::default()),
             record_sync_order: false,
             explore_workers: 0,
-            explore_cutover: ExploreCutover::Adaptive,
             observer: Observer::none(),
         }
     }
@@ -154,19 +129,6 @@ impl PipelineConfig {
     /// Overrides the exploration budget.
     pub fn with_seed_budget(mut self, budget: u64) -> Self {
         self.seed_budget = budget;
-        self
-    }
-
-    /// Overrides the record-phase worker count (0 = one per core).
-    pub fn with_explore_workers(mut self, workers: usize) -> Self {
-        self.explore_workers = workers;
-        self
-    }
-
-    /// Overrides the sequential/parallel cutover policy for the
-    /// record-phase sweep.
-    pub fn with_explore_cutover(mut self, cutover: ExploreCutover) -> Self {
-        self.explore_cutover = cutover;
         self
     }
 
@@ -430,11 +392,7 @@ impl Pipeline {
     ///
     /// The sweep runs every seed bare and keeps only what selection
     /// reads; the selected seed alone is re-run with the recorder (and
-    /// the sync-order recorder, when enabled) attached. With
-    /// [`PipelineConfig::explore_workers`] ≠ 1 the hunt for the first
-    /// failure fans out over a worker pool; the exploration engine
-    /// guarantees the returned artifact is identical to the sequential
-    /// sweep's.
+    /// the sync-order recorder, when enabled) attached.
     ///
     /// # Errors
     ///
@@ -446,23 +404,6 @@ impl Pipeline {
         config: &PipelineConfig,
     ) -> Result<RecordedFailure, PipelineError> {
         explore::record_failure(self, config)
-    }
-
-    /// Sweeps one stickiness level with the exploration worker pool in
-    /// *profiled* mode, attributing each worker's wall time across seed
-    /// claiming, VM restore, enabled-action rebuild, VM stepping and idle
-    /// (see [`WorkerAttribution`]). Always profiles the parallel engine —
-    /// a one-worker "contention" profile would answer nothing — but the
-    /// returned profile reports which path production would actually take
-    /// under the configured [`ExploreCutover`], and the rendered table is
-    /// labelled when the two diverge. The `dbgcontend` probe in
-    /// `clap-bench` renders the result as a utilization table.
-    pub fn profile_contention(
-        &self,
-        config: &PipelineConfig,
-        stickiness: f64,
-    ) -> ContentionProfile {
-        explore::profile_contention(self, config, stickiness)
     }
 
     /// Phase 2a: decodes the log and symbolically executes the paths.
@@ -818,8 +759,7 @@ mod tests {
     #[test]
     fn record_failure_ships_a_direct_recorded_run_of_the_selected_seed() {
         // The sweep runs bare and re-records only the selected seed; the
-        // artifact must be exactly what recording that seed directly gives,
-        // on the sequential sweep and on the pool alike.
+        // artifact must be exactly what recording that seed directly gives.
         use clap_profile::{PathRecorder, SyncOrderRecorder};
         use clap_vm::{MultiMonitor, Outcome, RandomScheduler, Vm};
         let src = "global int x = 0; mutex m;
@@ -827,41 +767,34 @@ mod tests {
              fn main() { let a: thread = fork w(); let b: thread = fork w();
                          join a; join b; assert(x == 2, \"lost\"); }";
         let pipeline = Pipeline::from_source(src).unwrap();
-        let base = PipelineConfig::new(MemModel::Sc).with_sync_order_recording();
-        let configs = [
-            base.clone().with_explore_workers(1),
-            base.with_explore_workers(2)
-                .with_explore_cutover(ExploreCutover::Fixed(0)),
-        ];
-        for config in configs {
-            let recorded = pipeline.record_failure(&config).unwrap();
-            let mut vm = Vm::with_shared(
-                pipeline.program(),
-                config.model,
-                pipeline.sharing().shared_spec(),
-            );
-            vm.set_step_limit(config.step_limit);
-            let mut recorder = PathRecorder::new(&pipeline.tables);
-            let mut sync = SyncOrderRecorder::new();
-            let mut sched = RandomScheduler::with_stickiness(recorded.seed, recorded.stickiness);
-            let outcome = {
-                let mut multi = MultiMonitor::new();
-                multi.push(&mut recorder);
-                multi.push(&mut sync);
-                vm.run(&mut sched, &mut multi)
-            };
-            let Outcome::AssertFailed { assert, .. } = outcome else {
-                panic!("the selected seed must fail, got {outcome:?}");
-            };
-            assert_eq!(recorded.assert, assert);
-            assert_eq!(recorded.log, recorder.finish());
-            assert_eq!(recorded.failure, FailureContext::from_vm(&vm));
-            assert_eq!(recorded.stats, *vm.stats());
-            let direct = sync.finish();
-            let shipped = recorded.sync_order.as_ref().expect("sync order recorded");
-            assert!(direct.event_count() >= 8, "4 critical sections");
-            assert_eq!(shipped.orders, direct.orders);
-        }
+        let config = PipelineConfig::new(MemModel::Sc).with_sync_order_recording();
+        let recorded = pipeline.record_failure(&config).unwrap();
+        let mut vm = Vm::with_shared(
+            pipeline.program(),
+            config.model,
+            pipeline.sharing().shared_spec(),
+        );
+        vm.set_step_limit(config.step_limit);
+        let mut recorder = PathRecorder::new(&pipeline.tables);
+        let mut sync = SyncOrderRecorder::new();
+        let mut sched = RandomScheduler::with_stickiness(recorded.seed, recorded.stickiness);
+        let outcome = {
+            let mut multi = MultiMonitor::new();
+            multi.push(&mut recorder);
+            multi.push(&mut sync);
+            vm.run(&mut sched, &mut multi)
+        };
+        let Outcome::AssertFailed { assert, .. } = outcome else {
+            panic!("the selected seed must fail, got {outcome:?}");
+        };
+        assert_eq!(recorded.assert, assert);
+        assert_eq!(recorded.log, recorder.finish());
+        assert_eq!(recorded.failure, FailureContext::from_vm(&vm));
+        assert_eq!(recorded.stats, *vm.stats());
+        let direct = sync.finish();
+        let shipped = recorded.sync_order.as_ref().expect("sync order recorded");
+        assert!(direct.event_count() >= 8, "4 critical sections");
+        assert_eq!(shipped.orders, direct.orders);
     }
 
     #[test]

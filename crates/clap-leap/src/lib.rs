@@ -10,7 +10,7 @@
 //! with dense shared accesses (racey: 4289% in the paper) while CLAP's
 //! stays proportional to control-flow density only.
 //!
-//! The recorder here takes a real [`parking_lot::Mutex`] per variable so
+//! The recorder here takes a real [`std::sync::Mutex`] per variable so
 //! the measured overhead includes genuine atomic operations, and the log
 //! is the varint-encoded access vectors, giving the Table 2 space column.
 //!
@@ -19,8 +19,8 @@
 //! (sound for SC executions, which is what LEAP supports).
 
 use clap_vm::{AccessEvent, Action, Monitor, Scheduler, StepPreview, SyncEvent, ThreadId, Vm};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 /// One recorded access-order entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,12 +105,12 @@ impl LeapRecorder {
             accesses: self
                 .vectors
                 .into_iter()
-                .map(|(a, v)| (a, v.into_inner()))
+                .map(|(a, v)| (a, v.into_inner().unwrap_or_else(PoisonError::into_inner)))
                 .collect(),
             mutex_orders: self
                 .mutex_vectors
                 .into_iter()
-                .map(|(m, v)| (m, v.into_inner()))
+                .map(|(m, v)| (m, v.into_inner().unwrap_or_else(PoisonError::into_inner)))
                 .collect(),
         }
     }
@@ -126,15 +126,18 @@ impl Monitor for LeapRecorder {
     fn on_access(&mut self, thread: ThreadId, event: &AccessEvent) {
         // The entry may need creating first (outside the hot path in real
         // LEAP, which preallocates per static variable).
-        let cell = self
+        let cell: &Mutex<_> = self
             .vectors
             .entry(event.addr.0)
             .or_insert_with(|| Mutex::new(Vec::new()));
-        // The measured cost: a real lock acquisition per shared access.
-        cell.lock().push(AccessRecord {
-            thread,
-            is_write: event.is_write,
-        });
+        // The measured cost: a real lock acquisition per shared access
+        // (through a shared borrow, so it is not `get_mut`).
+        cell.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(AccessRecord {
+                thread,
+                is_write: event.is_write,
+            });
     }
 
     fn on_sync(&mut self, thread: ThreadId, event: &SyncEvent) {
@@ -142,11 +145,13 @@ impl Monitor for LeapRecorder {
             SyncEvent::Lock(m) | SyncEvent::Wait(_, m) => m.0,
             _ => return,
         };
-        let cell = self
+        let cell: &Mutex<_> = self
             .mutex_vectors
             .entry(m)
             .or_insert_with(|| Mutex::new(Vec::new()));
-        cell.lock().push(thread);
+        cell.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(thread);
     }
 }
 

@@ -54,7 +54,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// One finished span: a named scope on one thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Scope name (dotted lowercase, e.g. `explore.worker`).
+    /// Scope name (dotted lowercase, e.g. `parallel.validator`).
     pub name: Cow<'static, str>,
     /// Collector-assigned thread id (0 is the first thread seen).
     pub tid: u64,

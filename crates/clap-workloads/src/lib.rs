@@ -316,22 +316,6 @@ pub fn figure2() -> Workload {
     }
 }
 
-/// The exploration-scaling workload (not part of Table 1; used by
-/// `bench_explore`'s large-budget cells): a *correct* mutex-protected
-/// counter whose assert never fails, so every sweep runs its full seed
-/// budget — the worst case for the record-phase worker pool. A single
-/// stickiness level keeps one bench cell equal to one level sweep.
-pub fn scaling() -> Workload {
-    Workload {
-        name: "scaling",
-        paper_subject: "exploration-scaling probe (correct mutex counter)",
-        source: programs::scaling_mutex(3),
-        model: MemModel::Sc,
-        seed_budget: 100_000,
-        stickiness: &[0.7],
-    }
-}
-
 /// Builds racey with the reference signature of a serial execution baked
 /// in, so racy interleavings diverge from it and fail the assert.
 fn baked_racey(iters: u32) -> String {

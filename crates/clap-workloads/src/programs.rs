@@ -579,41 +579,6 @@ pub fn figure2() -> String {
     .to_owned()
 }
 
-/// A *correct* mutex-protected counter for exploration-scaling
-/// measurements: two workers each take the lock `iters` times, so the
-/// assert never fails and every exploration sweep runs its full seed
-/// budget — exactly the worst case for the record-phase worker pool.
-/// Kept deliberately small so a single seed costs microseconds and
-/// budgets of 10⁵–10⁶ seeds stay benchable.
-pub fn scaling_mutex(iters: u32) -> String {
-    let total = 2 * iters;
-    format!(
-        r#"
-    global int counter = 0;
-    mutex m;
-
-    fn w(iters: int) {{
-        let i: int = 0;
-        while (i < iters) {{
-            lock(m);
-            let c: int = counter;
-            counter = c + 1;
-            unlock(m);
-            i = i + 1;
-        }}
-    }}
-
-    fn main() {{
-        let a: thread = fork w({iters});
-        let b: thread = fork w({iters});
-        join a;
-        join b;
-        assert(counter == {total}, "scaling_mutex: protected counter is exact");
-    }}
-    "#
-    )
-}
-
 /// A heavier sim_race for overhead measurement: each worker performs
 /// `iters` iterations of eight unprotected shared accesses.
 pub fn sim_race_heavy(iters: u32) -> String {

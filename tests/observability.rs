@@ -1,6 +1,5 @@
 //! Integration tests for the `clap-obs` observability layer: the JSONL
 //! schema must stay stable, the disabled collector must be near-free, the
-//! exploration telemetry must not depend on the worker count, the
 //! per-phase timings must account for the end-to-end wall time, and the
 //! `with_observer` plumbing must produce a loadable Chrome trace plus a
 //! schema-clean JSONL stream.
@@ -103,40 +102,6 @@ fn disabled_collector_overhead_is_negligible() {
     // And nothing must have been recorded.
     let snap = clap_obs::snapshot();
     assert!(snap.spans.is_empty() && snap.counters.is_empty() && snap.hists.is_empty());
-}
-
-#[test]
-fn exploration_telemetry_is_worker_count_invariant() {
-    let _l = clap_obs::test_lock();
-    let pipeline = Pipeline::from_source(LOST_UPDATE).unwrap();
-    let config = PipelineConfig::new(MemModel::Sc);
-
-    // Render the deterministic slice of the telemetry — the `explore.*`
-    // counters — exactly as the JSONL sink would.
-    let explore_counters = |workers: usize| -> String {
-        clap_obs::reset();
-        clap_obs::enable();
-        pipeline
-            .record_failure(&config.clone().with_explore_workers(workers))
-            .expect("record succeeds");
-        let snap = clap_obs::snapshot();
-        clap_obs::disable();
-        snap.counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("explore."))
-            .map(|(name, value)| {
-                format!("{{\"type\":\"counter\",\"name\":\"{name}\",\"value\":{value}}}\n")
-            })
-            .collect()
-    };
-
-    let one = explore_counters(1);
-    let eight = explore_counters(8);
-    assert!(
-        one.contains("explore.levels") && one.contains("explore.seeds"),
-        "expected exploration counters, got:\n{one}"
-    );
-    assert_eq!(one, eight, "exploration telemetry must be byte-identical");
 }
 
 #[test]

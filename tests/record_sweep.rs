@@ -68,6 +68,35 @@ fn record_sweep_work_is_pinned() {
     );
 }
 
+#[test]
+fn early_stop_terminates_abundant_failure_sweep() {
+    let _l = clap_obs::test_lock();
+    // Every run of this program fails with the same SAPs, so the first
+    // level stops at its 25th failure, far inside the million-seed
+    // budget, and keeps the earliest of the tied runs.
+    let pipeline = Pipeline::from_source(
+        "global int x = 0;
+         fn w() { x = 1; }
+         fn main() { let a: thread = fork w(); join a; assert(x == 2, \"always\"); }",
+    )
+    .unwrap();
+    let mut config = PipelineConfig::new(MemModel::Sc);
+    config.seed_budget = 1_000_000;
+    clap_obs::reset();
+    clap_obs::enable();
+    let recorded = pipeline.record_failure(&config);
+    let counters = clap_obs::snapshot().counters;
+    clap_obs::disable();
+    let recorded = recorded.expect("failure is everywhere");
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert_eq!(
+        (counter("explore.levels"), counter("explore.seeds")),
+        (1, 25)
+    );
+    assert_eq!(counter("explore.failures"), 25);
+    assert_eq!(recorded.seed, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
