@@ -109,7 +109,8 @@ differential checking (check):
 
 solving (reproduce/check):
   --solver seq|par|auto    sequential DPLL(T), parallel generate-and-validate,
-                           or the adaptive portfolio (ladder + fallback); default seq
+                           or the adaptive portfolio (ladder + fallback); default seq,
+                           and for submit the server's default, auto
   --parallel               shorthand for --solver par
   --solve-timeout SECS     overall wall-clock budget for the solve phase
 
@@ -132,7 +133,8 @@ struct Options {
     stickiness: f64,
     budget: u64,
     workers: Option<usize>,
-    solver: SolverFlag,
+    /// `None` unless `--solver` or `--parallel` was given.
+    solver: Option<SolverFlag>,
     solve_timeout: Option<Duration>,
     sync_order: bool,
     all_examples: bool,
@@ -157,6 +159,11 @@ struct Options {
 }
 
 impl Options {
+    /// The solver `check` and `reproduce` run: sequential unless asked.
+    fn solver(&self) -> SolverFlag {
+        self.solver.unwrap_or(SolverFlag::Sequential)
+    }
+
     fn observer(&self) -> Observer {
         let mut observer = Observer::none();
         if let Some(path) = &self.trace {
@@ -199,7 +206,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         stickiness: 0.7,
         budget: 20_000,
         workers: None,
-        solver: SolverFlag::Sequential,
+        solver: None,
         solve_timeout: None,
         sync_order: false,
         all_examples: false,
@@ -252,15 +259,15 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 let n = v.parse().map_err(|_| format!("bad worker count `{v}`"))?;
                 options.workers = Some(n);
             }
-            "--parallel" => options.solver = SolverFlag::Parallel,
+            "--parallel" => options.solver = Some(SolverFlag::Parallel),
             "--solver" => {
                 let v = it.next().ok_or("--solver needs a value")?;
-                options.solver = match v.as_str() {
+                options.solver = Some(match v.as_str() {
                     "seq" => SolverFlag::Sequential,
                     "par" => SolverFlag::Parallel,
                     "auto" => SolverFlag::Auto,
                     other => return Err(format!("unknown solver `{other}` (seq|par|auto)")),
-                };
+                });
             }
             "--solve-timeout" => {
                 let v = it
@@ -455,7 +462,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let mut config =
                 PipelineConfig::new(options.single_model()?).with_observer(options.observer());
             config.seed_budget = options.budget;
-            config.solver = match options.solver {
+            config.solver = match options.solver() {
                 SolverFlag::Sequential => SolverChoice::Sequential(SolverConfig {
                     timeout: options.solve_timeout,
                     ..SolverConfig::default()
@@ -543,13 +550,21 @@ fn serve(options: &Options) -> Result<(), String> {
 fn submit_request(options: &Options) -> Result<SubmitRequest, String> {
     let source = std::fs::read_to_string(&options.file)
         .map_err(|e| format!("cannot read `{}`: {e}", options.file))?;
+    request_for(source, options)
+}
+
+/// The submission of `source` under `options`: a knob the command line
+/// leaves unset keeps [`SubmitRequest::new`]'s default.
+fn request_for(source: String, options: &Options) -> Result<SubmitRequest, String> {
     let mut request = SubmitRequest::new(source);
     request.model = options.single_model()?;
-    request.solver = match options.solver {
-        SolverFlag::Sequential => SolverKind::Sequential,
-        SolverFlag::Parallel => SolverKind::Parallel,
-        SolverFlag::Auto => SolverKind::Auto,
-    };
+    if let Some(solver) = options.solver {
+        request.solver = match solver {
+            SolverFlag::Sequential => SolverKind::Sequential,
+            SolverFlag::Parallel => SolverKind::Parallel,
+            SolverFlag::Auto => SolverKind::Auto,
+        };
+    }
     request.seed_budget = Some(options.budget);
     request.sync_order = options.sync_order;
     Ok(request)
@@ -671,7 +686,7 @@ fn check(options: &Options) -> Result<(), String> {
     config.max_preemptions = options.max_preemptions;
     config.seed_budget = options.budget;
     config.strict_record = options.strict_record;
-    config.solver = match options.solver {
+    config.solver = match options.solver() {
         SolverFlag::Sequential => SolverChoice::Sequential(SolverConfig {
             timeout: options.solve_timeout,
             ..SolverConfig::default()
@@ -789,4 +804,32 @@ fn check(options: &Options) -> Result<(), String> {
         options.shrink_out
     );
     Err(format!("check: hard disagreement in {name}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(args: &[&str]) -> SubmitRequest {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let options = parse_options(&args).expect("arguments parse");
+        request_for("fn main() {}".into(), &options).expect("request builds")
+    }
+
+    #[test]
+    fn bare_submit_asks_for_the_auto_solver() {
+        assert_eq!(request(&["p.clap"]).solver, SolverKind::Auto);
+    }
+
+    #[test]
+    fn submit_solver_flags_override_the_default() {
+        for (args, solver) in [
+            (&["p.clap", "--solver", "seq"][..], SolverKind::Sequential),
+            (&["p.clap", "--solver", "par"][..], SolverKind::Parallel),
+            (&["p.clap", "--parallel"][..], SolverKind::Parallel),
+            (&["p.clap", "--solver", "auto"][..], SolverKind::Auto),
+        ] {
+            assert_eq!(request(args).solver, solver, "{args:?}");
+        }
+    }
 }

@@ -123,9 +123,10 @@ pub fn validate(
 
     // 2. Walk the schedule.
     let mut assignment: Vec<Option<i64>> = vec![None; trace.sym_vars.len()];
-    let assign_fn = |assignment: &Vec<Option<i64>>| {
-        let a = assignment.clone();
-        move |v: clap_symex::SymVarId| a[v.index()]
+    let eval = |assignment: &[Option<i64>], e: clap_symex::ExprId| {
+        trace
+            .arena
+            .eval(e, &|v: clap_symex::SymVarId| assignment[v.index()])
     };
     let mut memory: HashMap<(GlobalId, i64), i64> = HashMap::new();
     let mut writer: HashMap<(GlobalId, i64), SapId> = HashMap::new();
@@ -160,24 +161,13 @@ pub fn validate(
         })
     };
 
-    let cell = |program: &Program,
-                trace: &SymTrace,
-                assignment: &Vec<Option<i64>>,
+    let cell = |assignment: &[Option<i64>],
                 sap: SapId,
                 addr: clap_symex::SymAddr|
      -> Result<(GlobalId, i64), ValidationError> {
         let idx = match addr.index {
             None => 0,
-            Some(e) => {
-                let f = {
-                    let a = assignment.clone();
-                    move |v: clap_symex::SymVarId| a[v.index()]
-                };
-                trace
-                    .arena
-                    .eval(e, &f)
-                    .ok_or(ValidationError::BadAddress { sap })?
-            }
+            Some(e) => eval(assignment, e).ok_or(ValidationError::BadAddress { sap })?,
         };
         let cells = program.globals[addr.global.index()].cells() as i64;
         if idx < 0 || idx >= cells {
@@ -190,7 +180,7 @@ pub fn validate(
         let sap = trace.sap(s);
         match sap.kind {
             SapKind::Read { addr, var } => {
-                let key = cell(program, trace, &assignment, s, addr)?;
+                let key = cell(&assignment, s, addr)?;
                 let init = SymTrace::init_value(program, key.0);
                 let value = memory.get(&key).copied().unwrap_or(init);
                 assignment[var.index()] = Some(value);
@@ -201,12 +191,8 @@ pub fn validate(
                 reads_from.push((s, source));
             }
             SapKind::Write { addr, value } => {
-                let key = cell(program, trace, &assignment, s, addr)?;
-                let f = assign_fn(&assignment);
-                let v = trace
-                    .arena
-                    .eval(value, &f)
-                    .ok_or(ValidationError::BadAddress { sap: s })?;
+                let key = cell(&assignment, s, addr)?;
+                let v = eval(&assignment, value).ok_or(ValidationError::BadAddress { sap: s })?;
                 memory.insert(key, v);
                 writer.insert(key, s);
             }
@@ -312,11 +298,8 @@ pub fn validate(
                             reason: "send on full channel".into(),
                         });
                     }
-                    let f = assign_fn(&assignment);
-                    let v = trace
-                        .arena
-                        .eval(value, &f)
-                        .ok_or(ValidationError::BadAddress { sap: s })?;
+                    let v =
+                        eval(&assignment, value).ok_or(ValidationError::BadAddress { sap: s })?;
                     chan_q[chan.index()].push_back(v);
                 }
             }
@@ -343,11 +326,8 @@ pub fn validate(
                     chan_q[chan.index()].len() < cap
                 };
                 if ok {
-                    let f = assign_fn(&assignment);
-                    let v = trace
-                        .arena
-                        .eval(value, &f)
-                        .ok_or(ValidationError::BadAddress { sap: s })?;
+                    let v =
+                        eval(&assignment, value).ok_or(ValidationError::BadAddress { sap: s })?;
                     chan_q[chan.index()].push_back(v);
                 }
                 assignment[var.index()] = Some(ok as i64);
@@ -360,11 +340,7 @@ pub fn validate(
                 chan_closed[c.index()] = true;
             }
             SapKind::MailboxSend { target, value } => {
-                let f = assign_fn(&assignment);
-                let v = trace
-                    .arena
-                    .eval(value, &f)
-                    .ok_or(ValidationError::BadAddress { sap: s })?;
+                let v = eval(&assignment, value).ok_or(ValidationError::BadAddress { sap: s })?;
                 mailboxes.entry(target).or_default().push_back(v);
             }
             SapKind::AtomicLoad { global, var, .. } => {
@@ -380,11 +356,7 @@ pub fn validate(
             }
             SapKind::AtomicStore { global, value, .. } => {
                 let key = (global, 0);
-                let f = assign_fn(&assignment);
-                let v = trace
-                    .arena
-                    .eval(value, &f)
-                    .ok_or(ValidationError::BadAddress { sap: s })?;
+                let v = eval(&assignment, value).ok_or(ValidationError::BadAddress { sap: s })?;
                 memory.insert(key, v);
                 writer.insert(key, s);
             }
@@ -407,11 +379,7 @@ pub fn validate(
                     .map(|&w| ReadSource::Write(w))
                     .unwrap_or(ReadSource::Init);
                 reads_from.push((s, source));
-                let f = assign_fn(&assignment);
-                let v = trace
-                    .arena
-                    .eval(value, &f)
-                    .ok_or(ValidationError::BadAddress { sap: s })?;
+                let v = eval(&assignment, value).ok_or(ValidationError::BadAddress { sap: s })?;
                 memory.insert(key, v);
                 writer.insert(key, s);
             }
@@ -428,14 +396,13 @@ pub fn validate(
     }
 
     // 3. Path conditions and the bug predicate.
-    let f = assign_fn(&assignment);
     for (idx, pc) in trace.path_conds.iter().enumerate() {
-        match trace.arena.eval(pc.expr, &f) {
+        match eval(&assignment, pc.expr) {
             Some(v) if v != 0 => {}
             _ => return Err(ValidationError::PathViolation { index: idx }),
         }
     }
-    match trace.arena.eval(trace.bug, &f) {
+    match eval(&assignment, trace.bug) {
         Some(v) if v != 0 => {}
         _ => return Err(ValidationError::BugNotManifested),
     }

@@ -297,3 +297,82 @@ fn example_corpus_canonicalizes() {
         "expected the channel examples alongside the originals"
     );
 }
+
+/// The schedules `validate` accepts among the candidates of rungs
+/// `0..=max_cs`, in generation order, with and without prefix pruning.
+/// Each rung runs its first `max_sets` CSP sets (0 = all of them).
+fn accepted_with_and_without_pruning(
+    program: &clap_ir::Program,
+    system: &ConstraintSystem<'_>,
+    max_cs: usize,
+    max_sets: u64,
+) -> [Vec<Vec<SapId>>; 2] {
+    let mut accepted: [Vec<Vec<SapId>>; 2] = Default::default();
+    for (side, pruned) in [true, false].into_iter().enumerate() {
+        for c in 0..=max_cs {
+            let mut generator = if pruned {
+                clap_parallel::Generator::new(program, system, 0)
+            } else {
+                clap_parallel::Generator::without_pruning(system, 0)
+            };
+            clap_parallel::for_each_csp_set(system, c, max_sets, &mut |set| {
+                generator.run(set, &mut |order| {
+                    let schedule = Schedule {
+                        order: order.to_vec(),
+                    };
+                    if validate(program, system, &schedule).is_ok() {
+                        accepted[side].push(schedule.order);
+                    }
+                    true
+                })
+            });
+        }
+    }
+    accepted
+}
+
+/// Prefix pruning only drops prefixes the validator would reject: on
+/// every channel workload, the pruned generator's accepted schedules are
+/// the blind generator's, in the same order.
+#[test]
+fn pruning_keeps_the_accepted_schedules_of_channel_workloads() {
+    for workload in clap_workloads::channels() {
+        let pipeline = Pipeline::new(workload.program());
+        let recorded = pipeline
+            .record_failure(&clap_bench::workload_config(&workload))
+            .expect("the workload fails");
+        let trace = pipeline.symbolic_trace(&recorded).expect("trace");
+        let system = ConstraintSystem::build(pipeline.program(), &trace, workload.model);
+        let [pruned, blind] = accepted_with_and_without_pruning(pipeline.program(), &system, 2, 0);
+        assert!(
+            pruned == blind,
+            "{}: {} against {} accepted",
+            workload.name,
+            pruned.len(),
+            blind.len()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// Same property for generated channel/actor programs, over rungs
+    /// 0..=2 and the first 256 CSP sets of each, which keeps the blind
+    /// generator's work small.
+    #[test]
+    fn pruning_keeps_the_accepted_schedules_of_generated_channel_programs(
+        seed in 0u64..1_000_000,
+    ) {
+        let source = clap_check::ChanSpec::from_seed(seed).source();
+        let pipeline = Pipeline::from_source(&source).expect("generated source parses");
+        let mut config = PipelineConfig::new(MemModel::Sc);
+        config.seed_budget = 200;
+        config.stickiness = vec![0.7, 0.3];
+        let Ok(recorded) = pipeline.record_failure(&config) else { return Ok(()) };
+        let trace = pipeline.symbolic_trace(&recorded).expect("trace");
+        let system = ConstraintSystem::build(pipeline.program(), &trace, MemModel::Sc);
+        let [pruned, blind] = accepted_with_and_without_pruning(pipeline.program(), &system, 2, 256);
+        prop_assert!(pruned == blind, "chan seed {seed}: {} against {} accepted", pruned.len(), blind.len());
+    }
+}
