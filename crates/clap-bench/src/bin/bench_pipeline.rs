@@ -1,8 +1,10 @@
 //! Emits `BENCH_pipeline.jsonl`: each pipeline phase (record, decode,
-//! symex, constrain, solve, replay) per `clap_workloads` program. The
-//! record phase is timed over batches of `Pipeline::record_failure` calls
-//! of at least 20 ms each; the other phases come from the phase timings
-//! every `Pipeline::reproduce` returns.
+//! symex, constrain, solve, replay) per `clap_workloads` program, the
+//! VM's seeded sweep and oracle enumeration on three workloads, and the
+//! memory-model, preemption-bound, pruning and sync-order ablations.
+//! Every cell is the best, over `repeats`, of the mean time per call in
+//! a batch of calls lasting at least 20 ms, with the call's work count
+//! (see `clap_bench::pipeline`).
 //!
 //! The artifact is the standard `clap-obs` JSONL stream (validate with
 //! the `obsck` binary): one `bench.pipeline` header event and one

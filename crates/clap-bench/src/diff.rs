@@ -1,6 +1,6 @@
 //! Trajectory comparison behind the `benchdiff` binary and the CI perf
-//! gate: parses two `BENCH_*.jsonl` artifacts (any of the vm, pipeline
-//! or serve trajectories), pairs their benchmark cells, and
+//! gate: parses two `BENCH_*.jsonl` artifacts (the pipeline or the serve
+//! trajectory), pairs their benchmark cells, and
 //! classifies each pair against a noise margin. Every metric here is *lower-is-better*
 //! wall time, so a positive delta is a slowdown.
 //!
@@ -9,8 +9,8 @@
 //! silently stops running is indistinguishable from a regression nobody
 //! can see. New cells are [`DiffStatus::Added`] and benign.
 //!
-//! The vm and pipeline cells also carry the work they did (`steps`,
-//! `work`). Those counts are deterministic, so a paired cell whose work
+//! The pipeline cells also carry the work they did (`work`). Those
+//! counts are deterministic, so a paired cell whose work
 //! differs at all is a failure whatever the margin: the two runs did not
 //! do the same thing, and their times do not compare.
 
@@ -30,16 +30,10 @@ struct CellSpec {
     work: Option<&'static str>,
 }
 
-/// The three bench trajectories the repo commits. `bench_serve` emits
+/// The two bench trajectories the repo commits. `bench_serve` emits
 /// many samples per (program, phase) cell — one per submission — so
 /// samples are mean-aggregated before comparison.
-const CELL_SPECS: [CellSpec; 3] = [
-    CellSpec {
-        event: "bench.vm.cell",
-        key_fields: &["workload", "phase"],
-        metric: "millis",
-        work: Some("steps"),
-    },
+const CELL_SPECS: [CellSpec; 2] = [
     CellSpec {
         event: "bench.pipeline.cell",
         key_fields: &["workload", "phase"],
@@ -86,7 +80,7 @@ impl DiffStatus {
 /// One compared cell.
 #[derive(Debug, Clone)]
 pub struct CellDiff {
-    /// Event family (`bench.vm.cell`, …).
+    /// Event family (`bench.pipeline.cell`, …).
     pub bench: String,
     /// `field=value` pairs identifying the cell, space-joined.
     pub key: String,
@@ -404,8 +398,8 @@ mod tests {
     #[test]
     fn identical_artifacts_have_zero_regressions() {
         let a = artifact(&[
-            ("bench.vm.cell", "sim_race sweep", 1.2),
-            ("bench.vm.cell", "sim_race oracle", 1.0),
+            ("bench.pipeline.cell", "sim_race sweep", 1.2),
+            ("bench.pipeline.cell", "sim_race oracle", 1.0),
         ]);
         let d = diff(&a, &a, 25.0).unwrap();
         assert_eq!(d.cells.len(), 2);
@@ -416,8 +410,8 @@ mod tests {
 
     #[test]
     fn degraded_cells_regress_and_fail_the_gate() {
-        let old = artifact(&[("bench.vm.cell", "sim_race sweep", 1.0)]);
-        let new = artifact(&[("bench.vm.cell", "sim_race sweep", 2.0)]);
+        let old = artifact(&[("bench.pipeline.cell", "sim_race sweep", 1.0)]);
+        let new = artifact(&[("bench.pipeline.cell", "sim_race sweep", 2.0)]);
         let d = diff(&old, &new, 25.0).unwrap();
         assert_eq!(d.regressions(), 1);
         assert!(d.has_failures());
@@ -487,8 +481,8 @@ mod tests {
 
     #[test]
     fn markdown_table_lists_every_cell() {
-        let old = artifact(&[("bench.vm.cell", "sim_race sweep", 1.0)]);
-        let new = artifact(&[("bench.vm.cell", "sim_race sweep", 3.0)]);
+        let old = artifact(&[("bench.pipeline.cell", "sim_race sweep", 1.0)]);
+        let new = artifact(&[("bench.pipeline.cell", "sim_race sweep", 3.0)]);
         let d = diff(&old, &new, 25.0).unwrap();
         let md = d.render_markdown("a.jsonl", "b.jsonl");
         assert!(md.contains("| bench | cell | old | new | delta% | status |"));
@@ -500,14 +494,14 @@ mod tests {
     #[test]
     fn changed_work_fails_whatever_the_margin() {
         let old = artifact_with_work(&[
-            ("bench.vm.cell", "sim_race sweep", 1.0, 17936),
-            ("bench.vm.cell", "sim_race oracle", 9.0, 3000),
+            ("bench.pipeline.cell", "sim_race sweep", 1.0, 17936),
+            ("bench.pipeline.cell", "sim_race oracle", 9.0, 3000),
             ("bench.pipeline.cell", "pfscan solve", 6.0, 40),
             ("bench.serve.cell", "peterson warm", 1.0, 0),
         ]);
         let new = artifact_with_work(&[
-            ("bench.vm.cell", "sim_race sweep", 0.5, 17936),
-            ("bench.vm.cell", "sim_race oracle", 9.0, 3001),
+            ("bench.pipeline.cell", "sim_race sweep", 0.5, 17936),
+            ("bench.pipeline.cell", "sim_race oracle", 9.0, 3001),
             ("bench.pipeline.cell", "pfscan solve", 6.0, 39),
             ("bench.serve.cell", "peterson warm", 1.0, 0),
         ]);
@@ -543,9 +537,9 @@ mod tests {
 
     #[test]
     fn missing_or_inconsistent_work_is_an_error() {
-        let no_steps = "{\"type\":\"event\",\"name\":\"bench.vm.cell\",\"tid\":0,\"ts_ns\":1,\
+        let no_work = "{\"type\":\"event\",\"name\":\"bench.pipeline.cell\",\"tid\":0,\"ts_ns\":1,\
                         \"fields\":{\"workload\":\"w\",\"phase\":\"p\",\"millis\":\"1.0\"}}\n";
-        assert!(diff(no_steps, no_steps, 25.0).is_err());
+        assert!(diff(no_work, no_work, 25.0).is_err());
         let split = artifact_with_work(&[
             ("bench.pipeline.cell", "pfscan solve", 6.0, 40),
             ("bench.pipeline.cell", "pfscan solve", 6.0, 41),
@@ -555,7 +549,7 @@ mod tests {
 
     #[test]
     fn corrupt_metric_is_an_error_not_noise() {
-        let bad = "{\"type\":\"event\",\"name\":\"bench.vm.cell\",\"tid\":0,\"ts_ns\":1,\
+        let bad = "{\"type\":\"event\",\"name\":\"bench.pipeline.cell\",\"tid\":0,\"ts_ns\":1,\
                    \"fields\":{\"workload\":\"w\",\"phase\":\"p\",\"millis\":\"fast\"}}\n";
         assert!(diff(bad, bad, 25.0).is_err());
     }

@@ -1,13 +1,11 @@
 //! The benchmark harness: shared measurement helpers behind the
 //! `table1`/`table2`/`table3` and `figure2`/`figure3`/`figure4` binaries
 //! that regenerate every table and figure of the paper's evaluation (§6),
-//! plus the trajectory sweeps behind `bench_vm`, `bench_pipeline` and
-//! `bench_serve`.
+//! plus the trajectory sweeps behind `bench_pipeline` and `bench_serve`.
 
 pub mod diff;
 pub mod pipeline;
 pub mod serve;
-pub mod vm;
 
 use clap_constraints::{count, ConstraintSystem};
 use clap_core::{

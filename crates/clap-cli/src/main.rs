@@ -164,6 +164,24 @@ impl Options {
         self.solver.unwrap_or(SolverFlag::Sequential)
     }
 
+    /// [`Options::solver`] configured with `--solve-timeout`.
+    fn solver_choice(&self) -> SolverChoice {
+        match self.solver() {
+            SolverFlag::Sequential => SolverChoice::Sequential(SolverConfig {
+                timeout: self.solve_timeout,
+                ..SolverConfig::default()
+            }),
+            SolverFlag::Parallel => SolverChoice::Parallel(ParallelConfig {
+                timeout: self.solve_timeout,
+                ..ParallelConfig::default()
+            }),
+            SolverFlag::Auto => SolverChoice::Auto(AutoConfig {
+                solve_timeout: self.solve_timeout,
+                ..AutoConfig::default()
+            }),
+        }
+    }
+
     fn observer(&self) -> Observer {
         let mut observer = Observer::none();
         if let Some(path) = &self.trace {
@@ -462,20 +480,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let mut config =
                 PipelineConfig::new(options.single_model()?).with_observer(options.observer());
             config.seed_budget = options.budget;
-            config.solver = match options.solver() {
-                SolverFlag::Sequential => SolverChoice::Sequential(SolverConfig {
-                    timeout: options.solve_timeout,
-                    ..SolverConfig::default()
-                }),
-                SolverFlag::Parallel => SolverChoice::Parallel(ParallelConfig {
-                    timeout: options.solve_timeout,
-                    ..ParallelConfig::default()
-                }),
-                SolverFlag::Auto => SolverChoice::Auto(AutoConfig {
-                    solve_timeout: options.solve_timeout,
-                    ..AutoConfig::default()
-                }),
-            };
+            config.solver = options.solver_choice();
             config.record_sync_order = options.sync_order;
             let report = pipeline.reproduce(&config).map_err(|e| e.to_string())?;
             if options.json {
@@ -686,20 +691,7 @@ fn check(options: &Options) -> Result<(), String> {
     config.max_preemptions = options.max_preemptions;
     config.seed_budget = options.budget;
     config.strict_record = options.strict_record;
-    config.solver = match options.solver() {
-        SolverFlag::Sequential => SolverChoice::Sequential(SolverConfig {
-            timeout: options.solve_timeout,
-            ..SolverConfig::default()
-        }),
-        SolverFlag::Parallel => SolverChoice::Parallel(ParallelConfig {
-            timeout: options.solve_timeout,
-            ..ParallelConfig::default()
-        }),
-        SolverFlag::Auto => SolverChoice::Auto(AutoConfig {
-            solve_timeout: options.solve_timeout,
-            ..AutoConfig::default()
-        }),
-    };
+    config.solver = options.solver_choice();
 
     // Collect targets: (name, source).
     let mut targets: Vec<(String, String)> = Vec::new();

@@ -1,6 +1,6 @@
 //! Schedules: total orders over SAPs, plus the §4.2 context-switch metric.
 
-use clap_symex::{SapId, SapKind, SymTrace, ThreadIdx};
+use clap_symex::{SapId, SapKind, SymTrace};
 
 /// A candidate (or computed) schedule: a total order over every SAP of the
 /// trace. Position `i` holds the SAP executed (for writes: made visible)
@@ -111,23 +111,4 @@ impl Schedule {
             })
             .collect()
     }
-}
-
-/// Returns, per thread, how many of its SAPs appear in the schedule prefix
-/// of length `len` — used by replay progress reporting and tests.
-pub fn prefix_progress(schedule: &Schedule, trace: &SymTrace, len: usize) -> Vec<usize> {
-    let mut progress = vec![0usize; trace.thread_count()];
-    for &s in schedule.order.iter().take(len) {
-        progress[trace.sap(s).thread.index()] += 1;
-    }
-    progress
-}
-
-/// Convenience: the thread executing at each schedule position.
-pub fn thread_at(schedule: &Schedule, trace: &SymTrace) -> Vec<ThreadIdx> {
-    schedule
-        .order
-        .iter()
-        .map(|&s| trace.sap(s).thread)
-        .collect()
 }

@@ -420,14 +420,6 @@ impl<'t> ConstraintSystem<'t> {
         }
     }
 
-    /// The read constraint for a symbolic variable.
-    pub fn read_for_var(&self, var: SymVarId) -> &ReadConstraint {
-        self.reads
-            .iter()
-            .find(|r| r.var == var)
-            .expect("every var has a read")
-    }
-
     /// Checks a *hard-edge-only* property: whether `schedule` respects
     /// `F_mo` and the fork/join partial order.
     pub fn respects_hard_edges(&self, schedule: &Schedule) -> bool {

@@ -32,34 +32,21 @@ use std::time::{Duration, Instant};
 /// Portfolio configuration for [`SolverChoice::Auto`].
 ///
 /// [`SolverChoice::Auto`]: crate::SolverChoice::Auto
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AutoConfig {
-    /// The `max_cs` rungs the parallel engine escalates through, in
-    /// increasing order. Each rung resumes where the previous one left
-    /// off (`min_cs = previous + 1`), so the ladder as a whole covers
-    /// `0..=last` exactly once.
-    pub ladder: Vec<usize>,
     /// Overall wall-clock budget across every attempt, anchored when the
     /// solve phase starts (`None` = unbounded).
     pub solve_timeout: Option<Duration>,
-    /// Base knobs for the parallel engine (workers, per-level caps).
+    /// Base knobs for the parallel engine (workers, stop count).
     /// `min_cs`/`max_cs`/`timeout` are overridden per rung.
     pub parallel: ParallelConfig,
-    /// Base knobs for the sequential fallback. `timeout` is overridden
-    /// with the remaining budget.
-    pub sequential: SolverConfig,
 }
 
-impl Default for AutoConfig {
-    fn default() -> Self {
-        AutoConfig {
-            ladder: vec![1, 3, 5, 8],
-            solve_timeout: None,
-            parallel: ParallelConfig::default(),
-            sequential: SolverConfig::default(),
-        }
-    }
-}
+/// The `max_cs` rungs the parallel engine escalates through, in
+/// increasing order. Each rung resumes where the previous one left off
+/// (`min_cs = previous + 1`), so the ladder as a whole covers `0..=8`
+/// exactly once.
+const LADDER: [usize; 4] = [1, 3, 5, 8];
 
 impl AutoConfig {
     /// Sets the overall solve budget.
@@ -247,7 +234,7 @@ pub fn solve_auto(
     let t0 = Instant::now();
     let seq_config = SolverConfig {
         timeout: remaining(),
-        ..config.sequential
+        ..SolverConfig::default()
     };
     let seq_outcome = solve(program, system, seq_config);
     record(&mut report, seq_attempt(&seq_outcome, t0.elapsed()));
@@ -265,8 +252,7 @@ pub fn solve_auto(
     }
 }
 
-/// Escalates the parallel engine up the configured ladder, recording
-/// every rung.
+/// Escalates the parallel engine up [`LADDER`], recording every rung.
 fn run_ladder(
     program: &Program,
     system: &ConstraintSystem<'_>,
@@ -274,17 +260,13 @@ fn run_ladder(
     remaining: &dyn Fn() -> Option<Duration>,
     report: &mut PortfolioReport,
 ) -> LadderResult {
-    // Normalize the ladder: strictly increasing rungs.
-    let mut ladder = config.ladder.clone();
-    ladder.sort_unstable();
-    ladder.dedup();
     // A rung reaching this many preemption points makes clean exhaustion a
     // complete-search certificate (every preemption placement covered).
     let points = preemption_point_count(system);
     let mut min_cs = 0usize;
-    for (i, &max_cs) in ladder.iter().enumerate() {
+    for (i, &max_cs) in LADDER.iter().enumerate() {
         // Budget slicing: rungs left plus the sequential fallback.
-        let attempts_left = (ladder.len() - i + 1) as u32;
+        let attempts_left = (LADDER.len() - i + 1) as u32;
         let slice = remaining().map(|r| r / attempts_left);
         if slice.is_some_and(|s| s.is_zero()) {
             break;

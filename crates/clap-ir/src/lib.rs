@@ -12,9 +12,8 @@
 //! * structured control flow (`if`/`while`) that lowers to a branchy CFG,
 //! * `assert` statements acting as the bug manifestation predicate.
 //!
-//! Programs are written in a textual DSL (see [`parse`]) or constructed
-//! programmatically with [`builder::FunctionBuilder`], then lowered to a
-//! control-flow-graph representation ([`Program`]) consumed by the VM,
+//! Programs are written in a textual DSL (see [`parse`]), then lowered to
+//! a control-flow-graph representation ([`Program`]) consumed by the VM,
 //! the Ball–Larus profiler, the static sharing analysis and the symbolic
 //! executor.
 //!
@@ -48,7 +47,6 @@
 //! ```
 
 pub mod ast;
-pub mod builder;
 pub mod error;
 pub mod lexer;
 pub mod lower;

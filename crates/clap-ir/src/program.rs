@@ -518,14 +518,6 @@ impl Program {
             .map(GlobalId::from)
     }
 
-    /// Looks up a channel by source name.
-    pub fn chan_by_name(&self, name: &str) -> Option<ChanId> {
-        self.chans
-            .iter()
-            .position(|c| c.name == name)
-            .map(ChanId::from)
-    }
-
     /// Looks up a mutex by source name.
     pub fn mutex_by_name(&self, name: &str) -> Option<MutexId> {
         self.mutexes

@@ -231,8 +231,6 @@ pub const EVENT_FIELD_SCHEMA: &[(&str, &[&str])] = &[
         &["engine", "cs_min", "cs_max", "outcome", "wall_us"],
     ),
     ("portfolio.winner", &["engine"]),
-    ("bench.vm", &["host_cores", "repeats"]),
-    ("bench.vm.cell", &["workload", "phase", "millis", "steps"]),
     ("bench.pipeline", &["host_cores", "repeats"]),
     (
         "bench.pipeline.cell",

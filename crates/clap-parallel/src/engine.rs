@@ -39,16 +39,17 @@ pub struct ParallelConfig {
     /// Stop after this many validated schedules (the paper typically
     /// finds several before the stop signal lands).
     pub stop_after_good: usize,
-    /// Cap on generated schedules per preemption level (0 = unlimited).
-    pub max_generated_per_level: u64,
-    /// Cap on CSP sets per level (0 = unlimited).
-    pub max_sets_per_level: u64,
-    /// Cap on generator DFS nodes per level (0 = unlimited); bounds
-    /// pruned searches that rarely complete a schedule.
-    pub max_nodes_per_level: u64,
     /// Wall-clock budget for this solve call (`None` = unbounded).
     pub timeout: Option<Duration>,
 }
+
+/// Cap on generated schedules per preemption level.
+const MAX_GENERATED_PER_LEVEL: u64 = 2_000_000;
+/// Cap on CSP sets per level.
+const MAX_SETS_PER_LEVEL: u64 = 200_000;
+/// Cap on generator DFS nodes per level; bounds pruned searches that
+/// rarely complete a schedule.
+const MAX_NODES_PER_LEVEL: u64 = 50_000_000;
 
 impl Default for ParallelConfig {
     fn default() -> Self {
@@ -57,9 +58,6 @@ impl Default for ParallelConfig {
             min_cs: 0,
             max_cs: 3,
             stop_after_good: 1,
-            max_generated_per_level: 2_000_000,
-            max_sets_per_level: 200_000,
-            max_nodes_per_level: 50_000_000,
             timeout: None,
         }
     }
@@ -189,8 +187,7 @@ fn solve_with(
             stop_after_good: config.stop_after_good.max(1),
         };
         climb(system, &config, |c| {
-            let (generated, truncated) =
-                generate_rung(program, system, &config, c, deadline, &mut sink);
+            let (generated, truncated) = generate_rung(program, system, c, deadline, &mut sink);
             RungResult {
                 generated,
                 validated: std::mem::take(&mut sink.validated),
@@ -281,16 +278,15 @@ trait CandidateSink {
 fn generate_rung(
     program: &Program,
     system: &ConstraintSystem<'_>,
-    config: &ParallelConfig,
     c: usize,
     deadline: Option<Instant>,
     sink: &mut impl CandidateSink,
 ) -> (u64, bool) {
-    let mut generator = Generator::new(program, system, config.max_generated_per_level);
-    generator.set_node_budget(config.max_nodes_per_level);
+    let mut generator = Generator::new(program, system, MAX_GENERATED_PER_LEVEL);
+    generator.set_node_budget(MAX_NODES_PER_LEVEL);
     generator.set_deadline(deadline);
     let mut late = false;
-    let exhausted_sets = for_each_csp_set(system, c, config.max_sets_per_level, &mut |set| {
+    let exhausted_sets = for_each_csp_set(system, c, MAX_SETS_PER_LEVEL, &mut |set| {
         if sink.stopped() {
             return false;
         }
@@ -304,8 +300,7 @@ fn generate_rung(
     // Either stopped on purpose (fine) or a cap fired.
     let capped = !exhausted_sets
         || generator.hit_budget()
-        || (config.max_generated_per_level > 0
-            && generator.generated() >= config.max_generated_per_level);
+        || generator.generated() >= MAX_GENERATED_PER_LEVEL;
     let truncated = late || (capped && !sink.stopped());
     (generator.generated(), truncated)
 }
@@ -501,8 +496,7 @@ fn solve_on_pool(
                 batch_first: 0,
                 n,
             };
-            let (generated, truncated) =
-                generate_rung(program, system, config, c, deadline, &mut feed);
+            let (generated, truncated) = generate_rung(program, system, c, deadline, &mut feed);
             // Close the rung's channel, then wait for every worker's done
             // signal: completion is counted, not inferred from joins.
             drop(feed);
@@ -643,10 +637,10 @@ mod tests {
     ) -> (Option<Schedule>, u64) {
         let mut validated = 0u64;
         for c in config.min_cs..=config.max_cs {
-            let mut generator = Generator::new(program, system, config.max_generated_per_level);
-            generator.set_node_budget(config.max_nodes_per_level);
+            let mut generator = Generator::new(program, system, MAX_GENERATED_PER_LEVEL);
+            generator.set_node_budget(MAX_NODES_PER_LEVEL);
             let mut found = None;
-            for_each_csp_set(system, c, config.max_sets_per_level, &mut |set| {
+            for_each_csp_set(system, c, MAX_SETS_PER_LEVEL, &mut |set| {
                 generator.run(set, &mut |order| {
                     validated += 1;
                     let candidate = Schedule {

@@ -298,7 +298,9 @@ impl<'a, 't> Generator<'a, 't> {
     }
 
     /// Creates a generator that enumerates blindly (the paper's plain
-    /// generate-then-validate split; kept for the ablation benches).
+    /// generate-then-validate split). Its users are the property tests,
+    /// which hold the pruned generator to it, and `bench_pipeline`'s
+    /// `pruning_off` row.
     pub fn without_pruning(sys: &'a ConstraintSystem<'t>, budget: u64) -> Self {
         let n = sys.trace.sap_count();
         let mut succ = vec![Vec::new(); n];

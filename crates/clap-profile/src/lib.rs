@@ -44,23 +44,3 @@ pub use bl::{
 pub use decode::{decode_log, ActivationPath, DecodeError, ThreadPath};
 pub use recorder::{PathLog, PathRecorder, ThreadLog};
 pub use syncorder::{SapRef, SyncObject, SyncOrderLog, SyncOrderRecorder};
-
-use clap_ir::Program;
-use clap_vm::{ExecStats, MemModel, Outcome, RandomScheduler, SharedSpec, Vm};
-
-/// Records one seeded execution end-to-end: runs the program under a
-/// [`RandomScheduler`] with the CLAP path recorder attached and returns the
-/// outcome, the path log and the execution statistics.
-pub fn record_run(
-    program: &Program,
-    model: MemModel,
-    shared: SharedSpec,
-    seed: u64,
-) -> (Outcome, PathLog, ExecStats) {
-    let tables = BlTables::build(program);
-    let mut vm = Vm::with_shared(program, model, shared);
-    let mut sched = RandomScheduler::new(seed);
-    let mut recorder = PathRecorder::new(&tables);
-    let outcome = vm.run(&mut sched, &mut recorder);
-    (outcome, recorder.finish(), *vm.stats())
-}

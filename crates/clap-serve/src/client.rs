@@ -79,25 +79,6 @@ impl Client {
         self.trace.as_deref()
     }
 
-    /// Connects with retry until `deadline` elapses — the "wait for the
-    /// daemon to come up" helper that saves callers (CI, tests) a ping
-    /// loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last connection error when the deadline passes.
-    pub fn connect_retry(addr: impl Into<String>, deadline: Duration) -> io::Result<Client> {
-        let client = Client::new(addr);
-        let start = Instant::now();
-        loop {
-            match TcpStream::connect(&client.addr) {
-                Ok(_) => return Ok(client),
-                Err(e) if start.elapsed() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
-
     fn request(&self, method: &str, path: &str, body: Option<&str>) -> Result<String, ClientError> {
         let mut stream = TcpStream::connect(&self.addr)?;
         let body = body.unwrap_or("");

@@ -43,6 +43,4 @@ pub use monitor::{AccessEvent, CountingMonitor, Monitor, MultiMonitor, NullMonit
 pub use sched::{Action, FifoScheduler, FnScheduler, RandomScheduler, Scheduler, ScriptScheduler};
 pub use stats::ExecStats;
 pub use thread::{Frame, Lineage, Status, Thread, ThreadId};
-pub use vm::{
-    run_with_seed, Outcome, SapPreviewKind, SharedSpec, Snapshot, StepPreview, StepProfile, Vm,
-};
+pub use vm::{run_with_seed, Outcome, SapPreviewKind, SharedSpec, Snapshot, StepPreview, Vm};

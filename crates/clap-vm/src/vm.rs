@@ -28,7 +28,6 @@ use clap_ir::{
 };
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// How a run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,29 +246,6 @@ impl Snapshot {
     }
 }
 
-/// Wall-time attribution of the [`Vm::run`] inner loop, accumulated
-/// while profiling is on (see [`Vm::enable_step_profile`]). The loop has
-/// exactly three phases per scheduler decision — bring the enabled
-/// action set up to date, ask the scheduler to pick, execute the choice —
-/// and the profile splits wall time across them. Accumulates across runs
-/// (and across [`Vm::reset`]) until taken, which is what a sweep worker
-/// wants: one profile covering every seed it ran.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepProfile {
-    /// Reading the enabled-action set, rebuilds included.
-    pub rebuild: Duration,
-    /// Reads that had to rebuild the set because the step before changed
-    /// it (the rest reuse the kept set).
-    pub rebuilds: u64,
-    /// Inside `scheduler.pick` (RNG draws, stickiness logic).
-    pub pick: Duration,
-    /// Executing the chosen action (instruction step or buffer drain),
-    /// including monitor callbacks.
-    pub exec: Duration,
-    /// Scheduler decisions profiled.
-    pub steps: u64,
-}
-
 /// The virtual machine.
 #[derive(Debug)]
 pub struct Vm<'p> {
@@ -302,8 +278,6 @@ pub struct Vm<'p> {
     /// Set wherever the state the enabled set depends on changes: a
     /// thread's status, the thread list, or a store buffer's contents.
     enabled_dirty: bool,
-    /// `Some` while step profiling is on; [`Vm::run`] accumulates into it.
-    step_profile: Option<StepProfile>,
     /// [`Vm::run`]'s forced-cycle detector, kept between runs so its
     /// anchor snapshot stops allocating.
     forced_cycle: ForcedCycle,
@@ -429,7 +403,6 @@ impl<'p> Vm<'p> {
             announced_main: false,
             enabled: Vec::new(),
             enabled_dirty: true,
-            step_profile: None,
             forced_cycle: ForcedCycle::default(),
         }
     }
@@ -535,17 +508,15 @@ impl<'p> Vm<'p> {
     }
 
     /// Brings `actions`, the kept enabled set moved out of the VM, up to
-    /// date; `true` when that took a rebuild. Debug builds check the
-    /// result against a fresh rebuild on every call.
-    fn refresh_enabled(&mut self, actions: &mut Vec<Action>) -> bool {
-        let rebuilt = self.enabled_dirty;
-        if rebuilt {
+    /// date. Debug builds check the result against a fresh rebuild on
+    /// every call.
+    fn refresh_enabled(&mut self, actions: &mut Vec<Action>) {
+        if self.enabled_dirty {
             actions.clear();
             self.fill_enabled_actions(actions);
             self.enabled_dirty = false;
         }
         debug_assert_eq!(*actions, self.enabled_actions(), "stale enabled set");
-        rebuilt
     }
 
     /// Appends the enabled actions to `out` (same order as
@@ -852,21 +823,6 @@ impl<'p> Vm<'p> {
         })
     }
 
-    /// Number of values currently queued in `chan`.
-    pub fn chan_len(&self, chan: ChanId) -> usize {
-        self.chan_queues[chan.index()].len()
-    }
-
-    /// `true` once `chan` has been closed.
-    pub fn chan_is_closed(&self, chan: ChanId) -> bool {
-        self.chan_closed[chan.index()]
-    }
-
-    /// Number of messages waiting in thread `t`'s mailbox.
-    pub fn mailbox_len(&self, t: ThreadId) -> usize {
-        self.mailboxes[t.index()].len()
-    }
-
     /// Runs to completion under `scheduler`, reporting events to `monitor`.
     ///
     /// A step with exactly one enabled action is *forced*: the scheduler
@@ -889,20 +845,11 @@ impl<'p> Vm<'p> {
         let mut actions = std::mem::take(&mut self.enabled);
         let mut forced = std::mem::take(&mut self.forced_cycle);
         forced.steps = 0;
-        // The profiled loop pays three timer pairs per decision; the
-        // default path pays one discriminant test here and nothing inside.
-        let profiling = self.step_profile.is_some();
         let outcome = loop {
             if let Some(outcome) = &self.outcome {
                 break outcome.clone();
             }
-            let t = profiling.then(Instant::now);
-            let rebuilt = self.refresh_enabled(&mut actions);
-            if let Some(t) = t {
-                let p = self.step_profile.as_mut().expect("profiling is on");
-                p.rebuild += t.elapsed();
-                p.rebuilds += u64::from(rebuilt);
-            }
+            self.refresh_enabled(&mut actions);
             if actions.is_empty() {
                 let all_exited = self.threads.iter().all(|t| t.status == Status::Exited);
                 let outcome = if all_exited {
@@ -923,41 +870,15 @@ impl<'p> Vm<'p> {
                 self.outcome = Some(Outcome::StepLimit);
                 break Outcome::StepLimit;
             }
-            let t = profiling.then(Instant::now);
             let choice = scheduler.pick(self, &actions);
-            if let Some(t) = t {
-                let p = self.step_profile.as_mut().expect("profiling is on");
-                p.pick += t.elapsed();
-                p.steps += 1;
-            }
-            let t0 = profiling.then(Instant::now);
             match actions[choice] {
                 Action::Step(t) => self.step_thread(t, monitor),
                 Action::Drain(t, addr) => self.drain(t, addr, monitor),
-            }
-            if let Some(t0) = t0 {
-                let p = self.step_profile.as_mut().expect("profiling is on");
-                p.exec += t0.elapsed();
             }
         };
         self.enabled = actions;
         self.forced_cycle = forced;
         outcome
-    }
-
-    /// Turns on per-step wall-time attribution for subsequent [`Vm::run`]
-    /// calls; see [`StepProfile`] for what is measured. Idempotent: the
-    /// accumulated profile is kept when already on.
-    pub fn enable_step_profile(&mut self) {
-        if self.step_profile.is_none() {
-            self.step_profile = Some(StepProfile::default());
-        }
-    }
-
-    /// Takes the accumulated profile and turns profiling off. `None` when
-    /// profiling was never enabled.
-    pub fn take_step_profile(&mut self) -> Option<StepProfile> {
-        self.step_profile.take()
     }
 
     /// Captures the complete mutable execution state — the checkpointing
@@ -1197,17 +1118,6 @@ impl<'p> Vm<'p> {
         self.announced_main = snapshot.announced_main;
         self.outcome = None;
         self.enabled_dirty = true;
-    }
-
-    /// Like [`Vm::restore`], but consumes the snapshot (a one-shot
-    /// hand-off such as `vm.restore_from(other.snapshot())`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the snapshot's shapes do not match the program (a
-    /// snapshot from a different program).
-    pub fn restore_from(&mut self, snapshot: Snapshot) {
-        self.restore(&snapshot);
     }
 
     /// Rewinds the VM to the pristine just-constructed state in place —
@@ -2669,7 +2579,7 @@ mod tests {
         vm_a.restore(&snapshot);
         let a = finish(&mut vm_a);
         let mut vm_b = Vm::new(&p, MemModel::Tso);
-        vm_b.restore_from(snapshot); // last use: the by-value hand-off
+        vm_b.restore(&snapshot);
         let b = finish(&mut vm_b);
         assert_eq!(a, b, "restored runs are deterministic given the seed");
         assert_eq!(a.0, Outcome::Completed);

@@ -143,10 +143,10 @@ fn path_tokens_are_recognised_and_globs_match() {
         path_of("crates/clap-vm/src/vm.rs:1477"),
         Some("crates/clap-vm/src/vm.rs")
     );
-    assert_eq!(path_of("BENCH_vm.jsonl"), Some("BENCH_vm.jsonl"));
+    assert_eq!(path_of("BENCH_serve.jsonl"), Some("BENCH_serve.jsonl"));
     assert_eq!(path_of("target/release/obsck"), None);
-    assert!(matches("BENCH_*.jsonl", "BENCH_vm.jsonl"));
-    assert!(!matches("BENCH_*.jsonl", "BENCH_vm.json"));
+    assert!(matches("BENCH_*.jsonl", "BENCH_serve.jsonl"));
+    assert!(!matches("BENCH_*.jsonl", "BENCH_serve.json"));
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     assert!(!expand(root, &["examples", "*.clap"]).is_empty());
     assert!(expand(root, &["examples", "*.nope"]).is_empty());
