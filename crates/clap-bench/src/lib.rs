@@ -6,6 +6,7 @@
 pub mod diff;
 pub mod pipeline;
 pub mod serve;
+pub mod vm;
 
 use clap_constraints::{count, ConstraintSystem};
 use clap_core::{

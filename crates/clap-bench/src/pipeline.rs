@@ -10,8 +10,8 @@
 //! work" from "did the same work faster".
 //!
 //! A sweep runs `repeats` rounds. Each round times every cell once with
-//! [`batch_millis`], the mean per call within a batch of calls lasting
-//! at least [`BATCH`], and each cell keeps its best round. A round takes
+//! `batch_millis`, the mean per call within a batch of calls lasting
+//! at least `BATCH` (20 ms), and each cell keeps its best round. A round takes
 //! about 1.4 s on a 2-vCPU Xeon VM, so a cell's batches are spread over
 //! the whole run: a host that slows down for a few seconds slows only
 //! some of them.
@@ -24,8 +24,8 @@
 //! | `constrain` | all | constraint clauses |
 //! | `solve` | all | solver decisions plus validated candidate schedules |
 //! | `replay` | all | VM steps of the replay |
-//! | `sweep` | [`VM_WORKLOADS`] | VM steps of [`SWEEP_SEEDS`] seeded runs |
-//! | `oracle` | [`VM_WORKLOADS`] | oracle executions, capped at [`ORACLE_EXECUTIONS`] |
+//! | `sweep` | [`VM_WORKLOADS`] | VM steps of [`vm::SWEEP_SEEDS`] seeded runs |
+//! | `oracle` | [`VM_WORKLOADS`] | oracle executions, capped at [`vm::ORACLE_EXECUTIONS`] |
 //! | `memmodel_{sc,tso,pso}` | dekker | VM steps of 100 seeded runs under each model |
 //! | `csbound_{1,2,3}` | sim_race | candidates the one-worker parallel engine validated up to that preemption bound |
 //! | `pruning_{on,off}` | peterson | candidates generated at preemption bound 1, with and without prefix pruning |
@@ -36,8 +36,8 @@
 //! recording, each phase summing its share of the calls'
 //! [`PhaseTimings`](clap_core::PhaseTimings).
 
+use crate::vm::{self, VM_WORKLOADS};
 use crate::{solver_for, workload_config};
-use clap_check::OracleConfig;
 use clap_constraints::{validate, ConstraintSystem, Schedule};
 use clap_core::{Pipeline, PipelineConfig, RecordedFailure};
 use clap_ir::Program;
@@ -51,16 +51,6 @@ use std::time::{Duration, Instant};
 
 /// The phases of one reproduction, in pipeline order.
 pub const PHASES: [&str; 6] = ["record", "decode", "symex", "constrain", "solve", "replay"];
-
-/// Workloads of the `sweep` and `oracle` rows (small → mid-size).
-pub const VM_WORKLOADS: [&str; 3] = ["sim_race", "pbzip2", "bakery"];
-
-/// Seeds per `sweep` call.
-pub const SWEEP_SEEDS: u64 = 300;
-
-/// Oracle execution cap per `oracle` call (keeps the mid-size
-/// workloads' search bounded).
-pub const ORACLE_EXECUTIONS: u64 = 3_000;
 
 /// The least one batch of calls lasts: long enough that a call of a few
 /// µs is timed over many calls rather than once.
@@ -121,7 +111,7 @@ fn batch_millis<const N: usize>(mut call: impl FnMut() -> [Duration; N]) -> [f64
 /// A row whose call returns its own work count: one untimed call gives
 /// the work, then [`batch_millis`] times the whole call, which must do
 /// the same work every time.
-fn measure(workload: &str, phase: &'static str, mut call: impl FnMut() -> u64) -> Cell {
+pub(crate) fn measure(workload: &str, phase: &'static str, mut call: impl FnMut() -> u64) -> Cell {
     let work = call();
     let [millis] = batch_millis(|| {
         let start = Instant::now();
@@ -195,32 +185,6 @@ fn phase_cells(workload: &Workload) -> Vec<Cell> {
         .zip(work)
         .map(|((phase, millis), work)| Cell::new(name, phase, millis, work))
         .collect()
-}
-
-/// The VM's two hot loops on one workload: `sweep`, the seeded runs a
-/// record sweep is made of, and `oracle`, the `clap-check` oracle's
-/// bounded enumeration.
-fn vm_cells(name: &str) -> [Cell; 2] {
-    let workload = clap_workloads::by_name(name).expect("workload exists");
-    let program = workload.program();
-    let shared = clap_analysis::analyze(&program).shared_spec();
-    let sweep = measure(name, "sweep", || {
-        let mut vm = Vm::with_shared(&program, workload.model, shared.clone());
-        vm.set_step_limit(1_000_000);
-        let mut steps = 0;
-        for seed in 0..SWEEP_SEEDS {
-            vm.reset();
-            let mut sched = RandomScheduler::with_stickiness(seed, 0.7);
-            vm.run(&mut sched, &mut NullMonitor);
-            steps += vm.stats().steps;
-        }
-        steps
-    });
-    let config = OracleConfig::new(workload.model).with_max_executions(ORACLE_EXECUTIONS);
-    let oracle = measure(name, "oracle", || {
-        clap_check::enumerate_with_shared(&program, shared.clone(), &config).executions
-    });
-    [sweep, oracle]
 }
 
 /// Store-buffer drains as scheduler events: the cost of 100 seeded runs
@@ -364,7 +328,7 @@ fn round() -> Vec<Cell> {
         cells.extend(phase_cells(workload));
     }
     for name in VM_WORKLOADS {
-        cells.extend(vm_cells(name));
+        cells.extend(vm::cells(name));
     }
     cells.extend(memmodel_cells());
     cells.extend(csbound_cells());
@@ -480,7 +444,7 @@ mod tests {
     #[test]
     fn new_rows_do_the_same_work_every_run() {
         let work = || {
-            let mut cells = vm_cells("sim_race").to_vec();
+            let mut cells = vm::cells("sim_race").to_vec();
             cells.extend(csbound_cells());
             cells
                 .into_iter()
@@ -493,7 +457,11 @@ mod tests {
             ["sweep", "oracle", "csbound_1", "csbound_2", "csbound_3"]
         );
         assert_eq!(first[0].1, 17_936, "sim_race sweep steps");
-        assert_eq!(first[1].1, ORACLE_EXECUTIONS, "sim_race oracle executions");
+        assert_eq!(
+            first[1].1,
+            vm::ORACLE_EXECUTIONS,
+            "sim_race oracle executions"
+        );
         assert_eq!(first, work());
     }
 }
