@@ -27,9 +27,9 @@
 //! | `sweep` | [`VM_WORKLOADS`] | VM steps of [`vm::SWEEP_SEEDS`] seeded runs |
 //! | `oracle` | [`VM_WORKLOADS`] | oracle executions, capped at [`vm::ORACLE_EXECUTIONS`] |
 //! | `memmodel_{sc,tso,pso}` | dekker | VM steps of 100 seeded runs under each model |
-//! | `csbound_{1,2,3}` | sim_race | candidates the one-worker parallel engine validated up to that preemption bound |
+//! | `csbound_{1,2,3}` | chan_fanin | candidates the one-worker parallel engine validated up to that preemption bound |
 //! | `pruning_{on,off}` | peterson | candidates generated at preemption bound 1, with and without prefix pruning |
-//! | `syncorder_{off,on}` | pbzip2 | sequential solver decisions without and with the recorded sync order |
+//! | `syncorder_{off,on}` | pfscan | sequential solver decisions without and with the recorded sync order |
 //!
 //! The record phase is timed over `Pipeline::record_failure` calls, and
 //! the offline phases over `Pipeline::reproduce_from` calls on one
@@ -38,7 +38,7 @@
 
 use crate::vm::{self, VM_WORKLOADS};
 use crate::{solver_for, workload_config};
-use clap_constraints::{validate, ConstraintSystem, Schedule};
+use clap_constraints::{ConstraintSystem, Schedule, Walk};
 use clap_core::{Pipeline, PipelineConfig, RecordedFailure};
 use clap_ir::Program;
 use clap_parallel::{for_each_csp_set, solve_parallel, Generator, ParallelConfig};
@@ -230,12 +230,13 @@ fn recorded_trace(
     (pipeline, recorded, trace)
 }
 
-/// The preemption bound's effect on the parallel engine: sim_race solved
-/// with bounds `0..=1`, `0..=2` and `0..=3`. One validator takes the
+/// The preemption bound's effect on the parallel engine: chan_fanin,
+/// whose first schedule needs two preemptions, solved with bounds `0..=1`
+/// (which exhausts), `0..=2` and `0..=3`. One validator takes the
 /// candidates in generation order, so the count it validates does not
 /// depend on thread timing (the count generated does).
 fn csbound_cells() -> Vec<Cell> {
-    let workload = clap_workloads::by_name("sim_race").expect("sim_race exists");
+    let workload = clap_workloads::by_name("chan_fanin").expect("chan_fanin exists");
     let (pipeline, _, trace) = recorded_trace(&workload, false);
     let system = ConstraintSystem::build(pipeline.program(), &trace, workload.model);
     [("csbound_1", 1), ("csbound_2", 2), ("csbound_3", 3)]
@@ -274,13 +275,14 @@ fn pruning_cells() -> Vec<Cell> {
                     Generator::without_pruning(&system, CANDIDATES)
                 };
                 let mut generated = 0;
+                let mut walk = Walk::new(program, &system);
                 let mut schedule = Schedule { order: Vec::new() };
                 for_each_csp_set(&system, 1, 200, &mut |set| {
                     generator.run(set, &mut |order| {
                         generated += 1;
                         schedule.order.clear();
                         schedule.order.extend_from_slice(order);
-                        black_box(validate(program, &system, &schedule).is_ok());
+                        black_box(walk.validate(&schedule).is_ok());
                         generated < CANDIDATES
                     })
                 });
@@ -291,10 +293,10 @@ fn pruning_cells() -> Vec<Cell> {
 }
 
 /// The §6.4 variant: recording the sync order collapses the locking and
-/// wait-matching search. pbzip2's recorded failure solved sequentially
+/// wait-matching search. pfscan's recorded failure solved sequentially
 /// without and with the recorded order's extra chains.
 fn syncorder_cells() -> Vec<Cell> {
-    let workload = clap_workloads::by_name("pbzip2").expect("pbzip2 exists");
+    let workload = clap_workloads::by_name("pfscan").expect("pfscan exists");
     let (pipeline, recorded, trace) = recorded_trace(&workload, true);
     let program = pipeline.program();
     let plain = ConstraintSystem::build(program, &trace, workload.model);
@@ -440,12 +442,13 @@ mod tests {
 
     /// `benchdiff` fails on any change of work, so a row whose work moved
     /// between runs would fail every comparison. The cheap new rows,
-    /// computed twice, must agree.
+    /// computed twice, must agree, and each ablation must show its effect.
     #[test]
     fn new_rows_do_the_same_work_every_run() {
         let work = || {
             let mut cells = vm::cells("sim_race").to_vec();
             cells.extend(csbound_cells());
+            cells.extend(syncorder_cells());
             cells
                 .into_iter()
                 .map(|c| (c.phase, c.work))
@@ -454,7 +457,15 @@ mod tests {
         let first = work();
         assert_eq!(
             first.iter().map(|&(phase, _)| phase).collect::<Vec<_>>(),
-            ["sweep", "oracle", "csbound_1", "csbound_2", "csbound_3"]
+            [
+                "sweep",
+                "oracle",
+                "csbound_1",
+                "csbound_2",
+                "csbound_3",
+                "syncorder_off",
+                "syncorder_on"
+            ]
         );
         assert_eq!(first[0].1, 17_936, "sim_race sweep steps");
         assert_eq!(
@@ -462,6 +473,8 @@ mod tests {
             vm::ORACLE_EXECUTIONS,
             "sim_race oracle executions"
         );
+        assert_ne!(first[2].1, first[3].1, "bound 1 exhausts, bound 2 finds");
+        assert!(first[5].1 > first[6].1, "the sync order saves decisions");
         assert_eq!(first, work());
     }
 }

@@ -394,7 +394,7 @@ impl Hasher for WordHasher {
 /// fingerprint is asked for, because a `Fork` event arrives before the
 /// child's [`Monitor::on_thread_start`]. Lineages are interned in a table
 /// that survives rewinds, so a DFS can dedup its failing leaves on compact
-/// [`FingerprintKey`]s and keep them in that form; the public
+/// `FingerprintKey`s and keep them in that form; the public
 /// [`Fingerprint`] is built from a key and the table on demand.
 #[derive(Debug, Default)]
 pub struct FingerprintMonitor {

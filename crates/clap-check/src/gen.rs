@@ -354,7 +354,7 @@ const ORDERINGS: [&str; 4] = ["relaxed", "acquire", "release", "seq_cst"];
 pub enum AtomicOp {
     /// Racy unprotected increment of `p` via a load/store pair — lost
     /// updates under every model. The two indices pick the load and
-    /// store orderings from [`ORDERINGS`].
+    /// store orderings from `ORDERINGS`.
     IncP(usize, usize),
     /// `fetch_add(q, delta, ord)` — atomic, so `q`'s final value is the
     /// sum of all deltas on every schedule.

@@ -787,7 +787,7 @@ impl<'p> Follower<'p> {
 /// index)` sequence of its visible SAPs in execution order — buffered
 /// stores are placed at their *visibility* point (their drain, or
 /// immediately before the fence that flushes them), which is exactly the
-/// convention of [`clap_constraints::Schedule`]. The second component is
+/// convention of `clap_constraints::Schedule`. The second component is
 /// the run's outcome.
 ///
 /// This is the bridge from an oracle [`FailingExecution`] to the

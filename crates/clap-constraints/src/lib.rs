@@ -35,4 +35,4 @@ pub use system::{
     ConstraintSystem, LockRegion, ReadConstraint, ReadSource, RecvConstraint, SyncOrderMismatch,
     WaitConstraint,
 };
-pub use validate::{validate, ValidationError, Witness};
+pub use validate::{validate, ValidationError, Walk, Witness};

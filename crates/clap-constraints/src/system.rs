@@ -22,7 +22,7 @@
 use crate::schedule::Schedule;
 use clap_ir::{AtomicOrd, ChanId, CondId, GlobalId, MutexId, Program};
 use clap_profile as clap_profile_sync;
-use clap_symex::{SapId, SapKind, SymAddr, SymTrace, SymVarId, ThreadIdx};
+use clap_symex::{Node, SapId, SapKind, SymAddr, SymTrace, SymVarId, ThreadIdx};
 use clap_vm::MemModel;
 use std::collections::HashMap;
 
@@ -114,6 +114,12 @@ pub struct ConstraintSystem<'t> {
     pub recvs: Vec<RecvConstraint>,
     /// Number of hard edges contributed by `F_mo` alone (Table 1 stats).
     pub mo_edge_count: usize,
+    /// Per symbolic variable: the path conditions that mention it. The
+    /// schedule walk evaluates a condition once its last variable is
+    /// bound.
+    pub(crate) var_conds: Vec<Vec<u32>>,
+    /// Per path condition: how many distinct variables it mentions.
+    pub(crate) cond_vars: Vec<u32>,
 }
 
 impl<'t> ConstraintSystem<'t> {
@@ -408,6 +414,34 @@ impl<'t> ConstraintSystem<'t> {
             });
         }
 
+        // One stamp per arena node marks the nodes a condition's walk
+        // has seen, so no condition builds a set of its own.
+        let mut var_conds: Vec<Vec<u32>> = vec![Vec::new(); trace.sym_vars.len()];
+        let mut cond_vars = vec![0; trace.path_conds.len()];
+        let mut seen = vec![u32::MAX; trace.arena.len()];
+        let mut stack = Vec::new();
+        for (c, pc) in trace.path_conds.iter().enumerate() {
+            let c = c as u32;
+            stack.push(pc.expr);
+            while let Some(e) = stack.pop() {
+                if std::mem::replace(&mut seen[e.index()], c) == c {
+                    continue;
+                }
+                match trace.arena.node(e) {
+                    Node::Const(_) => {}
+                    Node::Sym(v) => {
+                        if var_conds[v.index()].last() != Some(&c) {
+                            var_conds[v.index()].push(c);
+                            cond_vars[c as usize] += 1;
+                        }
+                    }
+                    Node::Unary(_, a) => stack.push(a),
+                    Node::Binary(_, a, b) => stack.extend([a, b]),
+                    Node::Ite(x, y, z) => stack.extend([x, y, z]),
+                }
+            }
+        }
+
         ConstraintSystem {
             trace,
             model,
@@ -417,6 +451,8 @@ impl<'t> ConstraintSystem<'t> {
             waits,
             recvs,
             mo_edge_count,
+            var_conds,
+            cond_vars,
         }
     }
 

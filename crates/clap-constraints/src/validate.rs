@@ -7,12 +7,23 @@
 //! wait legality can be simulated in one pass. This is the cheap
 //! per-candidate check that makes the §4.3 generate-and-validate search
 //! embarrassingly parallel.
+//!
+//! The pass is a [`Walk`]: it applies one SAP at a time and keeps an undo
+//! trail. [`validate`] walks a whole order; the schedule generator walks
+//! its prefixes with the same rules and drops a prefix at the SAP where
+//! the walk rejects it. A prefix does not show the SAPs after it, and one
+//! rule needs them: a capacity-0 send completes only when a receiver is
+//! positioned next. On a prefix that rule is unknown, and so are the
+//! outcome of a capacity-0 `try_send`, every value that depends on it,
+//! and the cells and queues that hold such values. An unknown never
+//! rejects, so the walk rejects a prefix only where the validator rejects
+//! every completion of it.
 
 use crate::schedule::Schedule;
 use crate::system::{ConstraintSystem, ReadSource};
-use clap_ir::{GlobalId, MutexId, Program};
-use clap_symex::{SapId, SapKind, SymTrace, ThreadIdx};
-use std::collections::HashMap;
+use clap_ir::{ChanId, GlobalId, MutexId, Program};
+use clap_symex::{ExprId, SapId, SapKind, SymAddr, SymTrace, SymVarId, ThreadIdx};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Why a candidate schedule is infeasible.
@@ -30,7 +41,7 @@ pub enum ValidationError {
         /// The offending SAP.
         sap: SapId,
         /// Description.
-        reason: String,
+        reason: &'static str,
     },
     /// A wait completion has no signal/broadcast to consume.
     UnmatchedWait {
@@ -42,7 +53,7 @@ pub enum ValidationError {
         /// The offending SAP.
         sap: SapId,
         /// Description.
-        reason: String,
+        reason: &'static str,
     },
     /// An address expression evaluated out of bounds (or not at all).
     BadAddress {
@@ -104,261 +115,361 @@ pub fn validate(
     system: &ConstraintSystem<'_>,
     schedule: &Schedule,
 ) -> Result<Witness, ValidationError> {
-    let trace = system.trace;
-    let pos = schedule.positions();
+    Walk::new(program, system).validate(schedule)
+}
 
-    // 1. Hard edges (F_mo + fork/join).
-    for &(a, b) in &system.hard_edges {
-        if pos[a.index()] >= pos[b.index()] {
-            return Err(ValidationError::OrderViolation {
-                before: a,
-                after: b,
-            });
+/// The position of a SAP not placed yet.
+const UNPLACED: u32 = u32::MAX;
+
+/// A message queue: one per channel, then one mailbox per thread.
+#[derive(Debug, Clone, Default)]
+struct Queue {
+    /// Queued values, oldest first; `None` is a value the walk left
+    /// unknown.
+    items: VecDeque<Option<i64>>,
+    closed: bool,
+    /// The contents depend on a capacity-0 `try_send` whose outcome the
+    /// walk left unknown. Nothing touches `items` while it is set.
+    unknown: bool,
+}
+
+/// One undoable change to the walk, newest last on the trail.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    /// An unlock, signal or broadcast was placed.
+    Place(SapId),
+    /// A variable was bound (to `None` when unknown).
+    Assign(SymVarId),
+    /// A memory cell held this value, written by this SAP.
+    Cell(u32, Option<i64>, ReadSource),
+    /// A mutex had this owner.
+    Owner(MutexId, Option<ThreadIdx>),
+    /// A signal woke a wait.
+    Consume(SapId),
+    /// A value joined the back of a queue.
+    Enqueue(u32),
+    /// This value left the front of a queue.
+    Dequeue(u32, Option<i64>),
+    /// A channel was closed; it had this flag before.
+    Close(u32, bool),
+    /// A channel's contents became unknown.
+    Unknown(u32),
+}
+
+/// The validator's state after a prefix of a schedule: the memory image
+/// and the writer of each cell, the assignment, mutex owners, the wait
+/// parks and wake-ups, channel and mailbox queues with their values, and
+/// reads-from. [`Walk::push`] places the next SAP and returns the
+/// validator's own error at it; [`Walk::mark`] and [`Walk::undo_to`]
+/// retract SAPs through one undo trail. See the module docs for what a
+/// prefix leaves unknown.
+#[derive(Debug)]
+pub struct Walk<'a> {
+    program: &'a Program,
+    system: &'a ConstraintSystem<'a>,
+    /// First memory cell of each global.
+    cell_base: Vec<u32>,
+    /// Per unlock, signal and broadcast: the trail's length when it was
+    /// placed, or [`UNPLACED`]. Only their order matters: a wait's park is
+    /// its release's, and a signal or broadcast after the park can wake
+    /// it.
+    pos: Vec<u32>,
+    /// Per SAP: whether it is a signal that woke a wait.
+    consumed: Vec<bool>,
+    /// Per read SAP: the write it read from.
+    source: Vec<ReadSource>,
+    /// Value of each symbolic variable: `None` until bound, or when bound
+    /// to an unknown value.
+    assignment: Vec<Option<i64>>,
+    /// Variables bound to an unknown value.
+    unknown_vars: u32,
+    /// Per path condition: its variables not bound yet.
+    cond_open: Vec<u32>,
+    /// One slot per cell of every global; `None` is unknown.
+    memory: Vec<Option<i64>>,
+    /// The last write to each cell.
+    writer: Vec<ReadSource>,
+    /// Owner of each mutex.
+    owner: Vec<Option<ThreadIdx>>,
+    /// Channel queues, then one mailbox per thread.
+    queues: Vec<Queue>,
+    trail: Vec<Undo>,
+    /// Per SAP: its position in the schedule [`Walk::validate`] checks.
+    order_pos: Vec<u32>,
+    /// Per thread: seen while looking for a positioned receiver.
+    seen: Vec<bool>,
+}
+
+impl<'a> Walk<'a> {
+    /// An empty walk over `system`'s trace.
+    pub fn new(program: &'a Program, system: &'a ConstraintSystem<'a>) -> Self {
+        let trace = system.trace;
+        let n = trace.sap_count();
+        let mut memory = Vec::new();
+        let mut cell_base = Vec::with_capacity(program.globals.len());
+        for (g, decl) in program.globals.iter().enumerate() {
+            cell_base.push(memory.len() as u32);
+            let init = SymTrace::init_value(program, GlobalId(g as u32));
+            memory.resize(memory.len() + decl.cells(), Some(init));
+        }
+        Walk {
+            program,
+            system,
+            cell_base,
+            pos: vec![UNPLACED; n],
+            consumed: vec![false; n],
+            source: vec![ReadSource::Init; n],
+            assignment: vec![None; trace.sym_vars.len()],
+            unknown_vars: 0,
+            cond_open: system.cond_vars.clone(),
+            writer: vec![ReadSource::Init; memory.len()],
+            memory,
+            owner: vec![None; program.mutexes.len()],
+            queues: vec![Queue::default(); program.chans.len() + trace.thread_count()],
+            trail: Vec::new(),
+            order_pos: vec![0; n],
+            seen: vec![false; trace.thread_count()],
         }
     }
 
-    // Precompute which unlocks are wait releases.
-    let release_of: HashMap<SapId, SapId> =
-        system.waits.iter().map(|w| (w.release, w.wait)).collect();
-
-    // 2. Walk the schedule.
-    let mut assignment: Vec<Option<i64>> = vec![None; trace.sym_vars.len()];
-    let eval = |assignment: &[Option<i64>], e: clap_symex::ExprId| {
-        trace
-            .arena
-            .eval(e, &|v: clap_symex::SymVarId| assignment[v.index()])
-    };
-    let mut memory: HashMap<(GlobalId, i64), i64> = HashMap::new();
-    let mut writer: HashMap<(GlobalId, i64), SapId> = HashMap::new();
-    let mut owner: HashMap<MutexId, ThreadIdx> = HashMap::new();
-    // Cond state: parked threads (park position) and signal tokens.
-    let mut parked: HashMap<SapId, u32> = HashMap::new(); // wait sap -> park position
-    let mut signal_pos: HashMap<SapId, u32> = HashMap::new();
-    let mut consumed: HashMap<SapId, bool> = HashMap::new();
-    let mut broadcast_pos: HashMap<SapId, u32> = HashMap::new();
-    let mut reads_from = Vec::new();
-    // Channel state: FIFO queues, closed flags, per-thread mailboxes.
-    let mut chan_q: Vec<std::collections::VecDeque<i64>> =
-        vec![Default::default(); program.chans.len()];
-    let mut chan_closed: Vec<bool> = vec![false; program.chans.len()];
-    let mut mailboxes: HashMap<ThreadIdx, std::collections::VecDeque<i64>> = HashMap::new();
-
-    // Rendezvous enablement for cap-0 channels: a send completes only
-    // when some other thread is positioned at a blocking recv on the same
-    // channel. In the total-order model that means the thread's *next*
-    // scheduled SAP after position `i` is that recv.
-    let recv_positioned_after = |i: usize, sender: ThreadIdx, chan: clap_ir::ChanId| -> bool {
-        trace.per_thread.iter().enumerate().any(|(ti, saps)| {
-            if ThreadIdx(ti as u32) == sender {
-                return false;
-            }
-            saps.iter()
-                .filter(|&&x| pos[x.index()] as usize > i)
-                .min_by_key(|&&x| pos[x.index()])
-                .is_some_and(
-                    |&x| matches!(trace.sap(x).kind, SapKind::Recv { chan: c, .. } if c == chan),
-                )
-        })
-    };
-
-    let cell = |assignment: &[Option<i64>],
-                sap: SapId,
-                addr: clap_symex::SymAddr|
-     -> Result<(GlobalId, i64), ValidationError> {
-        let idx = match addr.index {
-            None => 0,
-            Some(e) => eval(assignment, e).ok_or(ValidationError::BadAddress { sap })?,
-        };
-        let cells = program.globals[addr.global.index()].cells() as i64;
-        if idx < 0 || idx >= cells {
-            return Err(ValidationError::BadAddress { sap });
+    /// Validates a whole schedule, starting from the empty walk: the hard
+    /// edges, then the walk over the order with each SAP knowing the SAPs
+    /// after it, then the path conditions and the bug predicate.
+    ///
+    /// # Errors
+    ///
+    /// As [`validate`].
+    pub fn validate(&mut self, schedule: &Schedule) -> Result<Witness, ValidationError> {
+        self.undo_to(0);
+        let order = &schedule.order;
+        for (i, s) in order.iter().enumerate() {
+            self.order_pos[s.index()] = i as u32;
         }
-        Ok((addr.global, idx))
-    };
+        for &(a, b) in &self.system.hard_edges {
+            if self.order_pos[a.index()] >= self.order_pos[b.index()] {
+                return Err(ValidationError::OrderViolation {
+                    before: a,
+                    after: b,
+                });
+            }
+        }
+        for (i, &s) in order.iter().enumerate() {
+            self.push(s, Some(&order[i + 1..]))?;
+        }
+        self.finish()?;
+        let trace = self.system.trace;
+        let reads_from = order
+            .iter()
+            .filter(|&&s| {
+                matches!(
+                    trace.sap(s).kind,
+                    SapKind::Read { .. }
+                        | SapKind::AtomicLoad { .. }
+                        | SapKind::AtomicRmw { .. }
+                        | SapKind::AtomicCas { .. }
+                )
+            })
+            .map(|&s| (s, self.source[s.index()]))
+            .collect();
+        Ok(Witness {
+            assignment: self.assignment.iter().map(|v| v.unwrap_or(0)).collect(),
+            reads_from,
+        })
+    }
 
-    for (i, &s) in schedule.order.iter().enumerate() {
-        let sap = trace.sap(s);
+    /// The trail's length, to [`undo_to`](Walk::undo_to) later.
+    pub fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Undoes every change made since `mark`.
+    pub fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            match self.trail.pop().expect("walk trail") {
+                Undo::Place(s) => self.pos[s.index()] = UNPLACED,
+                Undo::Assign(var) => {
+                    if self.assignment[var.index()].take().is_none() {
+                        self.unknown_vars -= 1;
+                    }
+                    for &c in &self.system.var_conds[var.index()] {
+                        self.cond_open[c as usize] += 1;
+                    }
+                }
+                Undo::Cell(c, value, writer) => {
+                    self.memory[c as usize] = value;
+                    self.writer[c as usize] = writer;
+                }
+                Undo::Owner(m, prev) => self.owner[m.index()] = prev,
+                Undo::Consume(signal) => self.consumed[signal.index()] = false,
+                Undo::Enqueue(q) => {
+                    self.queues[q as usize].items.pop_back();
+                }
+                Undo::Dequeue(q, value) => self.queues[q as usize].items.push_front(value),
+                Undo::Close(q, prev) => self.queues[q as usize].closed = prev,
+                Undo::Unknown(q) => self.queues[q as usize].unknown = false,
+            }
+        }
+    }
+
+    /// Places SAP `s` next. `rest` is the rest of the schedule after it,
+    /// or `None` on a prefix whose completion is not known yet.
+    ///
+    /// # Errors
+    ///
+    /// The validator's error at `s`. On a prefix, the validator rejects
+    /// every completion of it (possibly with another error at `s`, when
+    /// the rendezvous rule rejects it first).
+    pub fn push(&mut self, s: SapId, rest: Option<&[SapId]>) -> Result<(), ValidationError> {
+        let sap = self.system.trace.sap(s);
         match sap.kind {
             SapKind::Read { addr, var } => {
-                let key = cell(&assignment, s, addr)?;
-                let init = SymTrace::init_value(program, key.0);
-                let value = memory.get(&key).copied().unwrap_or(init);
-                assignment[var.index()] = Some(value);
-                let source = writer
-                    .get(&key)
-                    .map(|&w| ReadSource::Write(w))
-                    .unwrap_or(ReadSource::Init);
-                reads_from.push((s, source));
+                let value = match self.cell(s, addr)? {
+                    Some(c) => {
+                        self.source[s.index()] = self.writer[c as usize];
+                        self.memory[c as usize]
+                    }
+                    None => None,
+                };
+                self.assign(var, value)?;
             }
             SapKind::Write { addr, value } => {
-                let key = cell(&assignment, s, addr)?;
-                let v = eval(&assignment, value).ok_or(ValidationError::BadAddress { sap: s })?;
-                memory.insert(key, v);
-                writer.insert(key, s);
-            }
-            SapKind::Lock(m) => {
-                if owner.contains_key(&m) {
-                    return Err(ValidationError::LockViolation {
-                        sap: s,
-                        reason: "mutex already held".into(),
-                    });
+                let cell = self.cell(s, addr)?;
+                let value = self.value(s, value)?;
+                match cell {
+                    Some(c) => self.store(c, value, s),
+                    // The store may hit any cell of its global.
+                    None => {
+                        let base = self.cell_base[addr.global.index()];
+                        let cells = self.program.globals[addr.global.index()].cells() as u32;
+                        for c in base..base + cells {
+                            self.store(c, None, s);
+                        }
+                    }
                 }
-                owner.insert(m, sap.thread);
             }
+            SapKind::Lock(m) => self.lock(s, m, sap.thread, "mutex already held")?,
             SapKind::Unlock(m) => {
-                if owner.get(&m) != Some(&sap.thread) {
+                if self.owner[m.index()] != Some(sap.thread) {
                     return Err(ValidationError::LockViolation {
                         sap: s,
-                        reason: "unlock by non-owner".into(),
+                        reason: "unlock by non-owner",
                     });
                 }
-                owner.remove(&m);
-                if let Some(&wait) = release_of.get(&s) {
-                    parked.insert(wait, i as u32);
-                }
+                self.set_owner(m, None);
+                self.place(s);
             }
             SapKind::Wait { mutex, .. } => {
-                let Some(&park) = parked.get(&s) else {
-                    return Err(ValidationError::UnmatchedWait { wait: s });
-                };
-                // Find the wait row and an eligible wake-up source.
-                let row = system
-                    .waits
-                    .iter()
-                    .find(|w| w.wait == s)
-                    .expect("wait row exists");
-                let mut woken = row.broadcasts.iter().any(|&b| {
-                    broadcast_pos
-                        .get(&b)
-                        .is_some_and(|&bp| bp > park && bp < i as u32)
-                });
-                if !woken {
-                    // Greedily consume the earliest eligible signal.
-                    let mut best: Option<(u32, SapId)> = None;
-                    for &sig in &row.signals {
-                        if consumed.get(&sig).copied().unwrap_or(false) {
-                            continue;
-                        }
-                        if let Some(&sp) = signal_pos.get(&sig) {
-                            if sp > park
-                                && sp < i as u32
-                                && best.map(|(bp, _)| sp < bp).unwrap_or(true)
-                            {
-                                best = Some((sp, sig));
-                            }
-                        }
-                    }
-                    if let Some((_, sig)) = best {
-                        consumed.insert(sig, true);
-                        woken = true;
-                    }
-                }
-                if !woken {
-                    return Err(ValidationError::UnmatchedWait { wait: s });
-                }
-                // Reacquire the mutex.
-                if owner.contains_key(&mutex) {
-                    return Err(ValidationError::LockViolation {
-                        sap: s,
-                        reason: "wait reacquisition while mutex held".into(),
-                    });
-                }
-                owner.insert(mutex, sap.thread);
-                parked.remove(&s);
+                self.wake(s)?;
+                self.lock(s, mutex, sap.thread, "wait reacquisition while mutex held")?;
             }
-            SapKind::Signal(_) => {
-                signal_pos.insert(s, i as u32);
-            }
-            SapKind::Broadcast(_) => {
-                broadcast_pos.insert(s, i as u32);
-            }
+            SapKind::Signal(_) | SapKind::Broadcast(_) => self.place(s),
             SapKind::Fork { .. } | SapKind::Join { .. } | SapKind::SpawnActor { .. } => {
                 // Covered by hard edges.
             }
             SapKind::Send { chan, value } => {
+                let q = chan.index();
                 // A send on a closed channel silently drops the value.
-                if !chan_closed[chan.index()] {
-                    let cap = program.chans[chan.index()].cap;
-                    if cap == 0 {
-                        if !chan_q[chan.index()].is_empty() {
-                            return Err(ValidationError::ChannelViolation {
-                                sap: s,
-                                reason: "rendezvous slot occupied".into(),
-                            });
+                if !self.queues[q].closed {
+                    if !self.queues[q].unknown {
+                        let queued = self.queues[q].items.len();
+                        let cap = self.program.chans[q].cap;
+                        let reason = if cap > 0 {
+                            (queued >= cap).then_some("send on full channel")
+                        } else if queued > 0 {
+                            Some("rendezvous slot occupied")
+                        } else {
+                            (self.receiver_next(rest, sap.thread, chan) == Some(false))
+                                .then_some("rendezvous send without positioned receiver")
+                        };
+                        if let Some(reason) = reason {
+                            return Err(ValidationError::ChannelViolation { sap: s, reason });
                         }
-                        if !recv_positioned_after(i, sap.thread, chan) {
-                            return Err(ValidationError::ChannelViolation {
-                                sap: s,
-                                reason: "rendezvous send without positioned receiver".into(),
-                            });
-                        }
-                    } else if chan_q[chan.index()].len() >= cap {
-                        return Err(ValidationError::ChannelViolation {
-                            sap: s,
-                            reason: "send on full channel".into(),
-                        });
                     }
-                    let v =
-                        eval(&assignment, value).ok_or(ValidationError::BadAddress { sap: s })?;
-                    chan_q[chan.index()].push_back(v);
+                    let value = self.value(s, value)?;
+                    self.enqueue(q, value);
                 }
             }
             SapKind::Recv { chan, var } => {
-                let v = if let Some(v) = chan_q[chan.index()].pop_front() {
-                    v
-                } else if chan_closed[chan.index()] {
-                    -1
+                let q = chan.index();
+                let value = if self.queues[q].unknown {
+                    None
+                } else if let Some(value) = self.dequeue(q) {
+                    value
+                } else if self.queues[q].closed {
+                    Some(-1)
                 } else {
                     return Err(ValidationError::ChannelViolation {
                         sap: s,
-                        reason: "recv on open empty channel".into(),
+                        reason: "recv on open empty channel",
                     });
                 };
-                assignment[var.index()] = Some(v);
+                self.assign(var, value)?;
             }
             SapKind::TrySend { chan, value, var } => {
-                let cap = program.chans[chan.index()].cap;
-                let ok = if chan_closed[chan.index()] {
-                    false
-                } else if cap == 0 {
-                    chan_q[chan.index()].is_empty() && recv_positioned_after(i, sap.thread, chan)
+                let q = chan.index();
+                let queued = self.queues[q].items.len();
+                let cap = self.program.chans[q].cap;
+                let ok = if self.queues[q].closed {
+                    Some(false)
+                } else if self.queues[q].unknown {
+                    None
+                } else if cap > 0 {
+                    Some(queued < cap)
+                } else if queued > 0 {
+                    Some(false)
                 } else {
-                    chan_q[chan.index()].len() < cap
+                    self.receiver_next(rest, sap.thread, chan)
                 };
-                if ok {
-                    let v =
-                        eval(&assignment, value).ok_or(ValidationError::BadAddress { sap: s })?;
-                    chan_q[chan.index()].push_back(v);
+                match ok {
+                    Some(true) => {
+                        let value = self.value(s, value)?;
+                        self.enqueue(q, value);
+                    }
+                    Some(false) => {}
+                    None if self.queues[q].unknown => {}
+                    None => {
+                        self.queues[q].unknown = true;
+                        self.trail.push(Undo::Unknown(q as u32));
+                    }
                 }
-                assignment[var.index()] = Some(ok as i64);
+                self.assign(var, ok.map(i64::from))?;
             }
             SapKind::TryRecv { chan, var } => {
-                let v = chan_q[chan.index()].pop_front().unwrap_or(-1);
-                assignment[var.index()] = Some(v);
+                let q = chan.index();
+                let value = if self.queues[q].unknown {
+                    None
+                } else {
+                    self.dequeue(q).unwrap_or(Some(-1))
+                };
+                self.assign(var, value)?;
             }
-            SapKind::ChanClose(c) => {
-                chan_closed[c.index()] = true;
+            SapKind::ChanClose(chan) => {
+                let q = chan.index();
+                let prev = std::mem::replace(&mut self.queues[q].closed, true);
+                self.trail.push(Undo::Close(q as u32, prev));
             }
             SapKind::MailboxSend { target, value } => {
-                let v = eval(&assignment, value).ok_or(ValidationError::BadAddress { sap: s })?;
-                mailboxes.entry(target).or_default().push_back(v);
+                let value = self.value(s, value)?;
+                self.enqueue(self.program.chans.len() + target.index(), value);
+            }
+            SapKind::MailboxRecv { var } => {
+                let Some(value) = self.dequeue(self.program.chans.len() + sap.thread.index())
+                else {
+                    return Err(ValidationError::ChannelViolation {
+                        sap: s,
+                        reason: "mailbox_recv on empty mailbox",
+                    });
+                };
+                self.assign(var, value)?;
             }
             SapKind::AtomicLoad { global, var, .. } => {
-                let key = (global, 0);
-                let init = SymTrace::init_value(program, global);
-                let value = memory.get(&key).copied().unwrap_or(init);
-                assignment[var.index()] = Some(value);
-                let source = writer
-                    .get(&key)
-                    .map(|&w| ReadSource::Write(w))
-                    .unwrap_or(ReadSource::Init);
-                reads_from.push((s, source));
+                let c = self.cell_base[global.index()];
+                self.source[s.index()] = self.writer[c as usize];
+                self.assign(var, self.memory[c as usize])?;
             }
             SapKind::AtomicStore { global, value, .. } => {
-                let key = (global, 0);
-                let v = eval(&assignment, value).ok_or(ValidationError::BadAddress { sap: s })?;
-                memory.insert(key, v);
-                writer.insert(key, s);
+                let value = self.value(s, value)?;
+                self.store(self.cell_base[global.index()], value, s);
             }
             SapKind::AtomicRmw {
                 global, var, value, ..
@@ -370,48 +481,193 @@ pub fn validate(
                 // RMW's variable with it, then evaluate and commit the
                 // written expression (for CAS an ITE that folds a failed
                 // swap back to the old value).
-                let key = (global, 0);
-                let init = SymTrace::init_value(program, global);
-                let old = memory.get(&key).copied().unwrap_or(init);
-                assignment[var.index()] = Some(old);
-                let source = writer
-                    .get(&key)
-                    .map(|&w| ReadSource::Write(w))
-                    .unwrap_or(ReadSource::Init);
-                reads_from.push((s, source));
-                let v = eval(&assignment, value).ok_or(ValidationError::BadAddress { sap: s })?;
-                memory.insert(key, v);
-                writer.insert(key, s);
+                let c = self.cell_base[global.index()];
+                self.source[s.index()] = self.writer[c as usize];
+                self.assign(var, self.memory[c as usize])?;
+                let value = self.value(s, value)?;
+                self.store(c, value, s);
             }
-            SapKind::MailboxRecv { var } => {
-                let Some(v) = mailboxes.entry(sap.thread).or_default().pop_front() else {
-                    return Err(ValidationError::ChannelViolation {
-                        sap: s,
-                        reason: "mailbox_recv on empty mailbox".into(),
-                    });
-                };
-                assignment[var.index()] = Some(v);
+        }
+        Ok(())
+    }
+
+    /// The path conditions the walk has not decided, then the bug
+    /// predicate, once every SAP is placed.
+    fn finish(&self) -> Result<(), ValidationError> {
+        let trace = self.system.trace;
+        for (index, pc) in trace.path_conds.iter().enumerate() {
+            // `assign` checked each condition when it bound its last
+            // variable.
+            let checked = self.system.cond_vars[index] > 0 && self.cond_open[index] == 0;
+            if !checked && self.eval(pc.expr).is_none_or(|v| v == 0) {
+                return Err(ValidationError::PathViolation { index });
             }
+        }
+        match self.eval(trace.bug) {
+            Some(v) if v != 0 => Ok(()),
+            _ => Err(ValidationError::BugNotManifested),
         }
     }
 
-    // 3. Path conditions and the bug predicate.
-    for (idx, pc) in trace.path_conds.iter().enumerate() {
-        match eval(&assignment, pc.expr) {
-            Some(v) if v != 0 => {}
-            _ => return Err(ValidationError::PathViolation { index: idx }),
-        }
-    }
-    match eval(&assignment, trace.bug) {
-        Some(v) if v != 0 => {}
-        _ => return Err(ValidationError::BugNotManifested),
+    fn eval(&self, e: ExprId) -> Option<i64> {
+        let assignment = &self.assignment;
+        self.system
+            .trace
+            .arena
+            .eval(e, &|v: SymVarId| assignment[v.index()])
     }
 
-    let assignment: Vec<i64> = assignment.into_iter().map(|v| v.unwrap_or(0)).collect();
-    Ok(Witness {
-        assignment,
-        reads_from,
-    })
+    /// `e`'s value at SAP `s`: `None` when it depends on an unknown. With
+    /// no unknown bound, a failed evaluation needs a variable bound only
+    /// after `s`, in every completion.
+    fn value(&self, s: SapId, e: ExprId) -> Result<Option<i64>, ValidationError> {
+        match self.eval(e) {
+            Some(v) => Ok(Some(v)),
+            None if self.unknown_vars > 0 => Ok(None),
+            None => Err(ValidationError::BadAddress { sap: s }),
+        }
+    }
+
+    /// The memory cell `addr` names at SAP `s`: `None` when its index is
+    /// unknown.
+    fn cell(&self, s: SapId, addr: SymAddr) -> Result<Option<u32>, ValidationError> {
+        let idx = match addr.index {
+            None => 0,
+            Some(e) => match self.value(s, e)? {
+                Some(idx) => idx,
+                None => return Ok(None),
+            },
+        };
+        let cells = self.program.globals[addr.global.index()].cells() as i64;
+        if idx < 0 || idx >= cells {
+            return Err(ValidationError::BadAddress { sap: s });
+        }
+        Ok(Some(self.cell_base[addr.global.index()] + idx as u32))
+    }
+
+    fn store(&mut self, c: u32, value: Option<i64>, writer: SapId) {
+        let c = c as usize;
+        let prev = std::mem::replace(&mut self.memory[c], value);
+        let prev_writer = std::mem::replace(&mut self.writer[c], ReadSource::Write(writer));
+        self.trail.push(Undo::Cell(c as u32, prev, prev_writer));
+    }
+
+    /// Binds `var`; a path condition whose last variable it is can reject
+    /// the SAP.
+    fn assign(&mut self, var: SymVarId, value: Option<i64>) -> Result<(), ValidationError> {
+        debug_assert!(self.assignment[var.index()].is_none());
+        self.assignment[var.index()] = value;
+        self.unknown_vars += u32::from(value.is_none());
+        self.trail.push(Undo::Assign(var));
+        let system = self.system;
+        let conds = &system.var_conds[var.index()];
+        for &c in conds {
+            self.cond_open[c as usize] -= 1;
+        }
+        for &c in conds {
+            let c = c as usize;
+            if self.cond_open[c] == 0 && self.eval(system.trace.path_conds[c].expr) == Some(0) {
+                return Err(ValidationError::PathViolation { index: c });
+            }
+        }
+        Ok(())
+    }
+
+    fn place(&mut self, s: SapId) {
+        self.pos[s.index()] = self.trail.len() as u32;
+        self.trail.push(Undo::Place(s));
+    }
+
+    fn set_owner(&mut self, m: MutexId, owner: Option<ThreadIdx>) {
+        let prev = std::mem::replace(&mut self.owner[m.index()], owner);
+        self.trail.push(Undo::Owner(m, prev));
+    }
+
+    fn lock(
+        &mut self,
+        s: SapId,
+        m: MutexId,
+        thread: ThreadIdx,
+        reason: &'static str,
+    ) -> Result<(), ValidationError> {
+        if self.owner[m.index()].is_some() {
+            return Err(ValidationError::LockViolation { sap: s, reason });
+        }
+        self.set_owner(m, Some(thread));
+        Ok(())
+    }
+
+    /// Wakes wait completion `s`: a broadcast after its park, or else the
+    /// earliest signal after it that no other wait consumed, which it
+    /// consumes. Every placed SAP precedes `s`.
+    fn wake(&mut self, s: SapId) -> Result<(), ValidationError> {
+        let system = self.system;
+        let row = system
+            .waits
+            .iter()
+            .find(|w| w.wait == s)
+            .expect("wait row exists");
+        let park = self.pos[row.release.index()];
+        if park == UNPLACED {
+            return Err(ValidationError::UnmatchedWait { wait: s });
+        }
+        let after_park = |x: SapId| {
+            let p = self.pos[x.index()];
+            p != UNPLACED && p > park
+        };
+        if row.broadcasts.iter().any(|&b| after_park(b)) {
+            return Ok(());
+        }
+        let Some(&signal) = row
+            .signals
+            .iter()
+            .filter(|&&sig| !self.consumed[sig.index()] && after_park(sig))
+            .min_by_key(|sig| self.pos[sig.index()])
+        else {
+            return Err(ValidationError::UnmatchedWait { wait: s });
+        };
+        self.consumed[signal.index()] = true;
+        self.trail.push(Undo::Consume(signal));
+        Ok(())
+    }
+
+    /// Whether some other thread's next SAP after the current one is a
+    /// `recv` on `chan`, which a capacity-0 send needs; `None` when the
+    /// rest of the schedule is not known.
+    fn receiver_next(
+        &mut self,
+        rest: Option<&[SapId]>,
+        sender: ThreadIdx,
+        chan: ChanId,
+    ) -> Option<bool> {
+        let rest = rest?;
+        let trace = self.system.trace;
+        self.seen.fill(false);
+        self.seen[sender.index()] = true;
+        for &x in rest {
+            let sap = trace.sap(x);
+            if !std::mem::replace(&mut self.seen[sap.thread.index()], true)
+                && matches!(sap.kind, SapKind::Recv { chan: c, .. } if c == chan)
+            {
+                return Some(true);
+            }
+        }
+        Some(false)
+    }
+
+    fn enqueue(&mut self, q: usize, value: Option<i64>) {
+        if !self.queues[q].unknown {
+            self.queues[q].items.push_back(value);
+            self.trail.push(Undo::Enqueue(q as u32));
+        }
+    }
+
+    /// Takes the value at the front of queue `q`, if any.
+    fn dequeue(&mut self, q: usize) -> Option<Option<i64>> {
+        let value = self.queues[q].items.pop_front()?;
+        self.trail.push(Undo::Dequeue(q as u32, value));
+        Some(value)
+    }
 }
 
 #[cfg(test)]

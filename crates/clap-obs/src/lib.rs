@@ -1,6 +1,6 @@
 //! Structured observability for the CLAP pipeline.
 //!
-//! A process-global [`Collector`] gathers **hierarchical spans** (wall-time
+//! A process-global collector gathers **hierarchical spans** (wall-time
 //! accounting, per thread, nested by scope) and **metrics** — monotonic
 //! counters, last-value gauges, log-bucketed quantile [`Histogram`]s, and
 //! one-off structured events. Everything is a no-op while the collector is

@@ -11,7 +11,7 @@
 //! first hit a **minimal-context-switch** reproduction.
 
 use crate::gen::{for_each_csp_set, preemption_point_count, Generator};
-use clap_constraints::{validate, ConstraintSystem, Schedule, Witness};
+use clap_constraints::{ConstraintSystem, Schedule, Walk, Witness};
 use clap_ir::Program;
 use clap_symex::SapId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,8 +177,7 @@ fn solve_with(
     let deadline = config.timeout.map(|t| Instant::now() + t);
     if in_place {
         let mut sink = InPlace {
-            program,
-            system,
+            walk: Walk::new(program, system),
             scratch: Schedule {
                 order: Vec::with_capacity(system.trace.sap_count()),
             },
@@ -305,17 +304,17 @@ fn generate_rung(
     (generator.generated(), truncated)
 }
 
-/// Validates each candidate on the generating thread, as it is produced.
-struct InPlace<'a, 's> {
-    program: &'a Program,
-    system: &'a ConstraintSystem<'s>,
+/// Validates each candidate on the generating thread, as it is produced,
+/// with one walk reset between candidates.
+struct InPlace<'a> {
+    walk: Walk<'a>,
     scratch: Schedule,
     good: Vec<(Schedule, Witness)>,
     validated: u64,
     stop_after_good: usize,
 }
 
-impl CandidateSink for InPlace<'_, '_> {
+impl CandidateSink for InPlace<'_> {
     fn stopped(&self) -> bool {
         self.good.len() >= self.stop_after_good
     }
@@ -324,7 +323,7 @@ impl CandidateSink for InPlace<'_, '_> {
         self.validated += 1;
         self.scratch.order.clear();
         self.scratch.order.extend_from_slice(order);
-        if let Ok(witness) = validate(self.program, self.system, &self.scratch) {
+        if let Ok(witness) = self.walk.validate(&self.scratch) {
             self.good.push((self.scratch.clone(), witness));
         }
         !self.stopped()
@@ -527,7 +526,8 @@ fn solve_on_pool(
 /// of the current rung up to its cutoff until its channel closes.
 fn validator(program: &Program, system: &ConstraintSystem<'_>, pool: &ValidatorPool, n: usize) {
     let _span = clap_obs::span("parallel.validator");
-    // Scratch survives every rung of the ladder.
+    // The walk and the scratch survive every rung of the ladder.
+    let mut walk = Walk::new(program, system);
     let mut scratch = Schedule {
         order: Vec::with_capacity(n),
     };
@@ -570,7 +570,7 @@ fn validator(program: &Program, system: &ConstraintSystem<'_>, pool: &ValidatorP
                 checked += 1;
                 scratch.order.clear();
                 scratch.order.extend_from_slice(&flat[i * n..(i + 1) * n]);
-                if let Ok(witness) = validate(program, system, &scratch) {
+                if let Ok(witness) = walk.validate(&scratch) {
                     rung.found(index, scratch.clone(), witness);
                 }
             }
@@ -623,6 +623,7 @@ pub fn worst_case_schedules_log10(system: &ConstraintSystem<'_>) -> f64 {
 mod tests {
     use super::*;
     use crate::testutil::build_failure;
+    use clap_constraints::validate;
     use clap_vm::MemModel;
 
     /// The one-worker contract spelled out: rungs in order, CSP sets in

@@ -16,9 +16,9 @@
 //! the next makes the first validated schedule one with the **minimal**
 //! number of preemptions.
 
-use clap_constraints::ConstraintSystem;
+use clap_constraints::{ConstraintSystem, Walk};
 use clap_ir::Program;
-use clap_symex::{ExprId, SapId, SapKind, SymAddr, SymTrace, SymVarId};
+use clap_symex::{SapId, SapKind};
 
 /// One context-switch point: before `t1`'s `k`-th SAP (1-based), switch to
 /// `t2`.
@@ -66,225 +66,11 @@ pub struct Generator<'a, 't> {
     node_budget: u64,
     deadline: Option<std::time::Instant>,
     out_of_budget: bool,
-    /// Prefix pruning: abandon a partial schedule the moment a path
-    /// condition, lock, channel or mailbox rule is violated (massive
-    /// search-space cut; the final validator remains the arbiter).
-    prune: Option<PruneState<'a>>,
-}
-
-/// A message queue as the validator sees it at the end of the prefix:
-/// one per channel, then one mailbox per thread.
-#[derive(Debug, Clone, Copy, Default)]
-struct Queue {
-    /// Messages queued; meaningless once `unknown`.
-    len: u32,
-    closed: bool,
-    /// The length depends on SAPs after the prefix: a capacity-0
-    /// `try_send` into an empty slot succeeds only if a receiver is
-    /// positioned next, which the validator decides from later SAPs.
-    unknown: bool,
-}
-
-/// One undoable change to the prune state, newest last on the trail.
-#[derive(Debug, Clone, Copy)]
-enum Undo {
-    /// A variable was assigned.
-    Assign(u32),
-    /// A memory cell held this value (`None`: unknown).
-    Cell(u32, Option<i64>),
-    /// A path condition lost one unassigned variable.
-    Cond(u32),
-    /// A mutex had this owner.
-    Owner(u32, Option<u32>),
-    /// A message queue was in this state.
-    Queue(u32, Queue),
-}
-
-/// Incremental evaluation state for prefix pruning: what the validator
-/// knows after walking the prefix, as far as the prefix determines it.
-struct PruneState<'p> {
-    program: &'p Program,
-    /// Concrete value per symbolic variable (assigned when its read is
-    /// emitted).
-    assignment: Vec<Option<i64>>,
-    /// Concrete memory image, one slot per cell of every global (a
-    /// global's cells start at `cell_base`); `None` marks an unknown
-    /// (unevaluable) value.
-    memory: Vec<Option<i64>>,
-    cell_base: Vec<u32>,
-    /// Per path condition: how many of its variables are unassigned.
-    cond_remaining: Vec<u32>,
-    /// var -> path conditions that mention it.
-    var_conds: Vec<Vec<u32>>,
-    /// Mutex owner (thread index) by mutex id.
-    owner: Vec<Option<u32>>,
-    /// Channel queues, then per-thread mailboxes.
-    queues: Vec<Queue>,
-    trail: Vec<Undo>,
-}
-
-impl<'p> PruneState<'p> {
-    fn new(program: &'p Program, trace: &SymTrace) -> Self {
-        let mut var_conds = vec![Vec::new(); trace.sym_vars.len()];
-        let mut cond_remaining = Vec::with_capacity(trace.path_conds.len());
-        for (ci, pc) in trace.path_conds.iter().enumerate() {
-            let vars = trace.arena.vars(pc.expr);
-            cond_remaining.push(vars.len() as u32);
-            for v in vars {
-                var_conds[v.index()].push(ci as u32);
-            }
-        }
-        let mut memory = Vec::new();
-        let mut cell_base = Vec::with_capacity(program.globals.len());
-        for (g, decl) in program.globals.iter().enumerate() {
-            cell_base.push(memory.len() as u32);
-            let init = SymTrace::init_value(program, clap_ir::GlobalId(g as u32));
-            memory.resize(memory.len() + decl.cells(), Some(init));
-        }
-        PruneState {
-            program,
-            assignment: vec![None; trace.sym_vars.len()],
-            memory,
-            cell_base,
-            cond_remaining,
-            var_conds,
-            owner: vec![None; program.mutexes.len()],
-            queues: vec![Queue::default(); program.chans.len() + trace.thread_count()],
-            trail: Vec::new(),
-        }
-    }
-
-    fn undo_to(&mut self, mark: usize) {
-        while self.trail.len() > mark {
-            match self.trail.pop().expect("prune trail") {
-                Undo::Assign(v) => self.assignment[v as usize] = None,
-                Undo::Cell(c, prev) => self.memory[c as usize] = prev,
-                Undo::Cond(ci) => self.cond_remaining[ci as usize] += 1,
-                Undo::Owner(m, prev) => self.owner[m as usize] = prev,
-                Undo::Queue(q, prev) => self.queues[q as usize] = prev,
-            }
-        }
-    }
-
-    fn eval(&self, trace: &SymTrace, e: ExprId) -> Option<i64> {
-        let a = &self.assignment;
-        trace.arena.eval(e, &|v: SymVarId| a[v.index()])
-    }
-
-    /// The memory slot `addr` names: `Ok(None)` when its index is not
-    /// evaluable yet, `Err(())` when it is out of bounds (the validator
-    /// rejects the SAP as a bad address).
-    fn cell(&self, trace: &SymTrace, addr: SymAddr) -> Result<Option<u32>, ()> {
-        let idx = match addr.index {
-            None => 0,
-            Some(e) => match self.eval(trace, e) {
-                Some(idx) => idx,
-                None => return Ok(None),
-            },
-        };
-        let cells = self.program.globals[addr.global.index()].cells() as i64;
-        if idx < 0 || idx >= cells {
-            return Err(());
-        }
-        Ok(Some(self.cell_base[addr.global.index()] + idx as u32))
-    }
-
-    fn write_cell(&mut self, cell: u32, value: Option<i64>) {
-        let prev = std::mem::replace(&mut self.memory[cell as usize], value);
-        self.trail.push(Undo::Cell(cell, prev));
-    }
-
-    /// A store whose index is not evaluable may hit any cell of its
-    /// global, so every one of them becomes unknown.
-    fn forget_global(&mut self, global: clap_ir::GlobalId) {
-        let base = self.cell_base[global.index()];
-        for c in base..base + self.program.globals[global.index()].cells() as u32 {
-            self.write_cell(c, None);
-        }
-    }
-
-    fn assign(&mut self, trace: &SymTrace, var: u32, value: i64) -> bool {
-        debug_assert!(self.assignment[var as usize].is_none());
-        self.assignment[var as usize] = Some(value);
-        self.trail.push(Undo::Assign(var));
-        // Path conditions whose last variable just grounded can now veto.
-        for i in 0..self.var_conds[var as usize].len() {
-            let ci = self.var_conds[var as usize][i];
-            self.cond_remaining[ci as usize] -= 1;
-            self.trail.push(Undo::Cond(ci));
-            if self.cond_remaining[ci as usize] == 0
-                && self.eval(trace, trace.path_conds[ci as usize].expr) == Some(0)
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Changes queue `q` through `f`, keeping its old state on the trail.
-    fn update_queue(&mut self, q: usize, f: impl FnOnce(&mut Queue)) {
-        let prev = self.queues[q];
-        f(&mut self.queues[q]);
-        self.trail.push(Undo::Queue(q as u32, prev));
-    }
-
-    /// The queue index of `thread`'s mailbox.
-    fn mailbox(&self, thread: u32) -> usize {
-        self.program.chans.len() + thread as usize
-    }
-
-    /// A blocking receive (`recv`, or `mailbox_recv` on a mailbox that
-    /// never closes): the validator rejects it on an open empty queue.
-    fn recv(&mut self, q: usize) -> bool {
-        let queue = self.queues[q];
-        if queue.unknown {
-            true
-        } else if queue.len > 0 {
-            self.update_queue(q, |queue| queue.len -= 1);
-            true
-        } else {
-            queue.closed
-        }
-    }
-
-    /// A blocking channel send: rejected on a full buffer or an occupied
-    /// rendezvous slot; a send on a closed channel drops its value.
-    fn send(&mut self, chan: usize) -> bool {
-        let queue = self.queues[chan];
-        if queue.unknown || queue.closed {
-            return true;
-        }
-        // A full buffer, or at capacity 0 an occupied rendezvous slot.
-        if queue.len >= (self.program.chans[chan].cap as u32).max(1) {
-            return false;
-        }
-        self.update_queue(chan, |queue| queue.len += 1);
-        true
-    }
-
-    /// A `try_send` never fails validation; it enqueues only when there
-    /// is room, and into an empty rendezvous slot only when a receiver is
-    /// positioned next, which later SAPs decide.
-    fn try_send(&mut self, chan: usize) {
-        let queue = self.queues[chan];
-        if queue.unknown || queue.closed {
-            return;
-        }
-        let cap = self.program.chans[chan].cap as u32;
-        if cap == 0 && queue.len == 0 {
-            self.update_queue(chan, |queue| queue.unknown = true);
-        } else if queue.len < cap {
-            self.update_queue(chan, |queue| queue.len += 1);
-        }
-    }
-
-    /// A `try_recv` takes a message if there is one; it never fails.
-    fn try_recv(&mut self, chan: usize) {
-        let queue = self.queues[chan];
-        if !queue.unknown && queue.len > 0 {
-            self.update_queue(chan, |queue| queue.len -= 1);
-        }
-    }
+    /// Prefix pruning: the validator's walk over the prefix, which
+    /// abandons it at the first SAP the validator rejects for every
+    /// completion (massive search-space cut; the final validator remains
+    /// the arbiter).
+    walk: Option<Walk<'a>>,
 }
 
 impl<'a, 't> Generator<'a, 't> {
@@ -293,7 +79,7 @@ impl<'a, 't> Generator<'a, 't> {
     /// calls (0 = unlimited).
     pub fn new(program: &'a Program, sys: &'a ConstraintSystem<'t>, budget: u64) -> Self {
         let mut generator = Self::without_pruning(sys, budget);
-        generator.prune = Some(PruneState::new(program, sys.trace));
+        generator.walk = Some(Walk::new(program, sys));
         generator
     }
 
@@ -341,7 +127,7 @@ impl<'a, 't> Generator<'a, 't> {
             node_budget: 0,
             deadline: None,
             out_of_budget: false,
-            prune: None,
+            walk: None,
         }
     }
 
@@ -422,121 +208,16 @@ impl<'a, 't> Generator<'a, 't> {
                 self.unblocked[self.thread_of[y] as usize] += 1;
             }
         }
-        let Some(prune) = self.prune.as_mut() else {
+        let Some(walk) = self.walk.as_mut() else {
             return (0, true);
         };
-        let mark = prune.trail.len();
-        let trace = self.sys.trace;
-        let ok = match trace.sap(SapId(s)).kind {
-            SapKind::Read { addr, var } => match prune.cell(trace, addr) {
-                Ok(Some(c)) => match prune.memory[c as usize] {
-                    Some(v) => prune.assign(trace, var.0, v),
-                    None => true, // unknown value: cannot prune
-                },
-                Ok(None) => true,
-                Err(()) => false,
-            },
-            SapKind::Write { addr, value } => match prune.cell(trace, addr) {
-                Ok(Some(c)) => {
-                    let v = prune.eval(trace, value);
-                    prune.write_cell(c, v);
-                    true
-                }
-                Ok(None) => {
-                    prune.forget_global(addr.global);
-                    true
-                }
-                Err(()) => false,
-            },
-            SapKind::Lock(m) | SapKind::Wait { mutex: m, .. } => {
-                if prune.owner[m.index()].is_none() {
-                    prune.owner[m.index()] = Some(t);
-                    prune.trail.push(Undo::Owner(m.0, None));
-                    true
-                } else {
-                    false // mutex already held: illegal prefix
-                }
-            }
-            SapKind::Unlock(m) => {
-                if prune.owner[m.index()] == Some(t) {
-                    prune.owner[m.index()] = None;
-                    prune.trail.push(Undo::Owner(m.0, Some(t)));
-                    true
-                } else {
-                    false
-                }
-            }
-            // Queue lengths evolve exactly as in the validator's walk, so
-            // a rule it checks at the SAP's own position can end the
-            // prefix here. The rendezvous "positioned receiver" rule
-            // looks at later SAPs and stays with the validator.
-            SapKind::Send { chan, .. } => prune.send(chan.index()),
-            SapKind::Recv { chan, .. } => prune.recv(chan.index()),
-            SapKind::TrySend { chan, .. } => {
-                prune.try_send(chan.index());
-                true
-            }
-            SapKind::TryRecv { chan, .. } => {
-                prune.try_recv(chan.index());
-                true
-            }
-            SapKind::ChanClose(chan) => {
-                prune.update_queue(chan.index(), |queue| queue.closed = true);
-                true
-            }
-            SapKind::MailboxSend { target, .. } => {
-                prune.update_queue(prune.mailbox(target.0), |queue| queue.len += 1);
-                true
-            }
-            SapKind::MailboxRecv { .. } => prune.recv(prune.mailbox(t)),
-            // Atomics are scalar cells: in the total-order model a SAP's
-            // position is its commit, so the cell image evolves exactly
-            // like the validator's.
-            SapKind::AtomicLoad { global, var, .. } => {
-                match prune.memory[prune.cell_base[global.index()] as usize] {
-                    Some(v) => prune.assign(trace, var.0, v),
-                    None => true,
-                }
-            }
-            SapKind::AtomicStore { global, value, .. } => {
-                let v = prune.eval(trace, value);
-                prune.write_cell(prune.cell_base[global.index()], v);
-                true
-            }
-            SapKind::AtomicRmw {
-                global, var, value, ..
-            }
-            | SapKind::AtomicCas {
-                global, var, value, ..
-            } => {
-                // Indivisible read-modify-write: ground the old value,
-                // then commit the written expression.
-                let c = prune.cell_base[global.index()];
-                match prune.memory[c as usize] {
-                    Some(old) => {
-                        let ok = prune.assign(trace, var.0, old);
-                        let v = prune.eval(trace, value);
-                        prune.write_cell(c, v);
-                        ok
-                    }
-                    None => {
-                        prune.write_cell(c, None);
-                        true
-                    }
-                }
-            }
-            SapKind::Fork { .. }
-            | SapKind::Join { .. }
-            | SapKind::SpawnActor { .. }
-            | SapKind::Signal(_)
-            | SapKind::Broadcast(_) => true,
-        };
-        (mark, ok)
+        let mark = walk.mark();
+        (mark, walk.push(SapId(s), None).is_ok())
     }
 
     fn retract_sap(&mut self, s: u32, mark: usize) {
-        if let Some(prune) = self.prune.as_mut() {
-            prune.undo_to(mark);
+        if let Some(walk) = self.walk.as_mut() {
+            walk.undo_to(mark);
         }
         for i in 0..self.succ[s as usize].len() {
             let y = self.succ[s as usize][i] as usize;
@@ -837,16 +518,18 @@ mod tests {
 
     #[test]
     fn a_store_at_an_unknown_index_forgets_its_array() {
-        // `w` stores through an index it received, which no prefix can
-        // evaluate. Were main's read of a[0] ground to the initial value,
-        // the path condition `x == 1` would prune every schedule that
-        // reproduces the failure.
-        let src = "global int a[2]; chan c(1);
-             fn w() { let v: int = recv(c); a[v] = 1; }
-             fn main() { let t: thread = fork w(); send(c, 0);
-                         let x: int = a[0];
+        // `w` stores through the result of a rendezvous `try_send`, which
+        // no prefix can evaluate: it succeeds only if `r` is positioned at
+        // its `recv` next. Were main's read of a[1] ground to the initial
+        // value, the path condition `x == 1` would prune every schedule
+        // that reproduces the failure.
+        let src = "global int a[2]; chan c(0);
+             fn w() { let ok: int = try_send(c, 5); a[ok] = 1; }
+             fn r() { let v: int = recv(c); }
+             fn main() { let u: thread = fork r(); let t: thread = fork w();
+                         let x: int = a[1];
                          if (x == 1) { assert(x == 0, \"saw the store\"); }
-                         join t; }";
+                         join t; join u; }";
         let (program, trace) = build_failure(src, MemModel::Sc, 2000);
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let pruned = accepted(&program, &sys, true);

@@ -192,6 +192,12 @@ impl ExprArena {
     /// linear in the DAG's size. The memo is a dense per-thread array
     /// that is reused across calls without allocating.
     pub fn eval(&self, id: ExprId, assignment: &impl Fn(SymVarId) -> Option<i64>) -> Option<i64> {
+        // A leaf shares nothing: no memo needed.
+        match self.node(id) {
+            Node::Const(c) => return Some(c),
+            Node::Sym(s) => return assignment(s),
+            _ => {}
+        }
         EVAL_MEMO.with(|cell| {
             // Taken for the call, so that an `eval` from inside
             // `assignment` starts from an empty memo instead of this one.

@@ -830,7 +830,7 @@ impl<'p> Vm<'p> {
     /// state depends on the current one alone. When a run of forced steps
     /// comes back to a state it has already been in, it can only repeat
     /// that cycle until the step limit, so the run ends there with
-    /// [`Outcome::StepLimit`] (see [`ForcedCycle`]). Scheduler and monitor
+    /// [`Outcome::StepLimit`] (see `ForcedCycle`). Scheduler and monitor
     /// see the steps up to that point, exactly as they would have.
     pub fn run(&mut self, scheduler: &mut dyn Scheduler, monitor: &mut dyn Monitor) -> Outcome {
         if !self.announced_main {

@@ -298,23 +298,29 @@ fn example_corpus_canonicalizes() {
     );
 }
 
-/// The schedules `validate` accepts among the candidates of rungs
-/// `0..=max_cs`, in generation order, with and without prefix pruning.
-/// Each rung runs its first `max_sets` CSP sets (0 = all of them).
-fn accepted_with_and_without_pruning(
+/// Holds the pruned generator to the blind one on `system`: over rungs
+/// `0..=2`, each running its first `max_sets` CSP sets (0 = all of them),
+/// both must have `validate` accept the same schedules in the same order.
+/// Each generator visits at most `max_nodes` DFS nodes a rung (0 = no
+/// limit). Pruning only cuts subtrees out of the blind DFS, so under the
+/// same limit the pruned search gets at least as far; where the blind one
+/// was cut, its accepted schedules must begin the pruned one's.
+fn pruned_matches_blind(
     program: &clap_ir::Program,
     system: &ConstraintSystem<'_>,
-    max_cs: usize,
     max_sets: u64,
-) -> [Vec<Vec<SapId>>; 2] {
-    let mut accepted: [Vec<Vec<SapId>>; 2] = Default::default();
-    for (side, pruned) in [true, false].into_iter().enumerate() {
-        for c in 0..=max_cs {
+    max_nodes: u64,
+) -> Result<(), String> {
+    for c in 0..=2 {
+        let mut accepted: [Vec<Vec<SapId>>; 2] = Default::default();
+        let mut blind_cut = false;
+        for (side, pruned) in [true, false].into_iter().enumerate() {
             let mut generator = if pruned {
                 clap_parallel::Generator::new(program, system, 0)
             } else {
                 clap_parallel::Generator::without_pruning(system, 0)
             };
+            generator.set_node_budget(max_nodes);
             clap_parallel::for_each_csp_set(system, c, max_sets, &mut |set| {
                 generator.run(set, &mut |order| {
                     let schedule = Schedule {
@@ -326,9 +332,43 @@ fn accepted_with_and_without_pruning(
                     true
                 })
             });
+            blind_cut = !pruned && generator.hit_budget();
+        }
+        let [pruned, blind] = &accepted;
+        let agree = if blind_cut {
+            pruned.starts_with(blind)
+        } else {
+            pruned == blind
+        };
+        if !agree {
+            return Err(format!(
+                "rung {c}: {} against {} accepted",
+                pruned.len(),
+                blind.len()
+            ));
         }
     }
-    accepted
+    Ok(())
+}
+
+/// Records each workload's failure and holds pruning to the blind
+/// generator on its trace, under its own model.
+fn pruning_keeps_the_accepted_schedules_of(
+    workloads: Vec<clap_workloads::Workload>,
+    max_sets: u64,
+    max_nodes: u64,
+) {
+    for workload in workloads {
+        let pipeline = Pipeline::new(workload.program());
+        let recorded = pipeline
+            .record_failure(&clap_bench::workload_config(&workload))
+            .expect("the workload fails");
+        let trace = pipeline.symbolic_trace(&recorded).expect("trace");
+        let system = ConstraintSystem::build(pipeline.program(), &trace, workload.model);
+        if let Err(e) = pruned_matches_blind(pipeline.program(), &system, max_sets, max_nodes) {
+            panic!("{}: {e}", workload.name);
+        }
+    }
 }
 
 /// Prefix pruning only drops prefixes the validator would reject: on
@@ -336,43 +376,76 @@ fn accepted_with_and_without_pruning(
 /// the blind generator's, in the same order.
 #[test]
 fn pruning_keeps_the_accepted_schedules_of_channel_workloads() {
-    for workload in clap_workloads::channels() {
-        let pipeline = Pipeline::new(workload.program());
-        let recorded = pipeline
-            .record_failure(&clap_bench::workload_config(&workload))
-            .expect("the workload fails");
-        let trace = pipeline.symbolic_trace(&recorded).expect("trace");
-        let system = ConstraintSystem::build(pipeline.program(), &trace, workload.model);
-        let [pruned, blind] = accepted_with_and_without_pruning(pipeline.program(), &system, 2, 0);
-        assert!(
-            pruned == blind,
-            "{}: {} against {} accepted",
-            workload.name,
-            pruned.len(),
-            blind.len()
-        );
+    pruning_keeps_the_accepted_schedules_of(clap_workloads::channels(), 0, 0);
+}
+
+/// Same property on the paper's workloads (locks, condvar waits, TSO and
+/// PSO store buffers) and the lock-free ones under C11, over the first
+/// 256 CSP sets of each rung. Bakery's blind search alone runs past three
+/// million candidates at bound 0, hence the node limit.
+#[test]
+fn pruning_keeps_the_accepted_schedules_of_other_workloads() {
+    let mut workloads = clap_workloads::all();
+    workloads.extend(clap_workloads::lockfree());
+    pruning_keeps_the_accepted_schedules_of(workloads, 256, 100_000);
+}
+
+/// Records `source`'s failure under `model` and holds pruning to the
+/// blind generator on its trace, over the first 256 CSP sets of each
+/// rung. A program that does not fail passes vacuously.
+fn recorded_pruned_matches_blind(source: &str, model: MemModel) -> Result<(), String> {
+    let pipeline = Pipeline::from_source(source).expect("generated source parses");
+    let mut config = PipelineConfig::new(model);
+    config.seed_budget = 200;
+    config.stickiness = vec![0.7, 0.3];
+    let Ok(recorded) = pipeline.record_failure(&config) else {
+        return Ok(());
+    };
+    let trace = pipeline.symbolic_trace(&recorded).expect("trace");
+    let system = ConstraintSystem::build(pipeline.program(), &trace, model);
+    pruned_matches_blind(pipeline.program(), &system, 256, 0)
+}
+
+/// Same property on generated programs whose recorded failures hold
+/// condvar waits: pruning applies the validator's exact wake-up rule.
+#[test]
+fn pruning_keeps_the_accepted_schedules_of_condvar_programs() {
+    for (seed, model) in [
+        (177, MemModel::Sc),
+        (247, MemModel::Sc),
+        (170, MemModel::Tso),
+        (302, MemModel::Pso),
+    ] {
+        let source = clap_check::ProgramSpec::from_seed(seed).source();
+        if let Err(e) = recorded_pruned_matches_blind(&source, model) {
+            panic!("seed {seed} {model:?}: {e}");
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// Same property for generated channel/actor programs, over rungs
-    /// 0..=2 and the first 256 CSP sets of each, which keeps the blind
-    /// generator's work small.
+    /// Same property for generated channel/actor programs; the 256-set
+    /// cap keeps the blind generator's work small.
     #[test]
     fn pruning_keeps_the_accepted_schedules_of_generated_channel_programs(
         seed in 0u64..1_000_000,
     ) {
         let source = clap_check::ChanSpec::from_seed(seed).source();
-        let pipeline = Pipeline::from_source(&source).expect("generated source parses");
-        let mut config = PipelineConfig::new(MemModel::Sc);
-        config.seed_budget = 200;
-        config.stickiness = vec![0.7, 0.3];
-        let Ok(recorded) = pipeline.record_failure(&config) else { return Ok(()) };
-        let trace = pipeline.symbolic_trace(&recorded).expect("trace");
-        let system = ConstraintSystem::build(pipeline.program(), &trace, MemModel::Sc);
-        let [pruned, blind] = accepted_with_and_without_pruning(pipeline.program(), &system, 2, 256);
-        prop_assert!(pruned == blind, "chan seed {seed}: {} against {} accepted", pruned.len(), blind.len());
+        let verdict = recorded_pruned_matches_blind(&source, MemModel::Sc);
+        prop_assert!(verdict.is_ok(), "chan seed {seed}: {verdict:?}");
+    }
+
+    /// Same property for generated lock/array/condvar programs under TSO
+    /// and C11 atomic programs (fetch-adds, compare-and-swaps) under C11.
+    #[test]
+    fn pruning_keeps_the_accepted_schedules_of_generated_programs(seed in 0u64..1_000_000) {
+        let source = clap_check::ProgramSpec::from_seed(seed).source();
+        let verdict = recorded_pruned_matches_blind(&source, MemModel::Tso);
+        prop_assert!(verdict.is_ok(), "program seed {seed}: {verdict:?}");
+        let source = clap_check::AtomicSpec::from_seed(seed).source();
+        let verdict = recorded_pruned_matches_blind(&source, MemModel::C11);
+        prop_assert!(verdict.is_ok(), "atomic seed {seed}: {verdict:?}");
     }
 }
