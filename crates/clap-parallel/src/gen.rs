@@ -85,7 +85,8 @@ impl<'a, 't> Generator<'a, 't> {
 
     /// Creates a generator that enumerates blindly (the paper's plain
     /// generate-then-validate split). Its users are the property tests,
-    /// which hold the pruned generator to it, and `bench_pipeline`'s
+    /// which hold the pruned generator to it, the validator's verdict
+    /// snapshot, which judges its candidates, and `bench_pipeline`'s
     /// `pruning_off` row.
     pub fn without_pruning(sys: &'a ConstraintSystem<'t>, budget: u64) -> Self {
         let n = sys.trace.sap_count();
