@@ -22,7 +22,7 @@
 use crate::schedule::Schedule;
 use clap_ir::{AtomicOrd, ChanId, CondId, GlobalId, MutexId, Program};
 use clap_profile as clap_profile_sync;
-use clap_symex::{Node, SapId, SapKind, SymAddr, SymTrace, SymVarId, ThreadIdx};
+use clap_symex::{SapId, SapKind, SymAddr, SymTrace, SymVarId, ThreadIdx};
 use clap_vm::MemModel;
 use std::collections::HashMap;
 
@@ -414,31 +414,13 @@ impl<'t> ConstraintSystem<'t> {
             });
         }
 
-        // One stamp per arena node marks the nodes a condition's walk
-        // has seen, so no condition builds a set of its own.
         let mut var_conds: Vec<Vec<u32>> = vec![Vec::new(); trace.sym_vars.len()];
-        let mut cond_vars = vec![0; trace.path_conds.len()];
-        let mut seen = vec![u32::MAX; trace.arena.len()];
-        let mut stack = Vec::new();
+        let mut cond_vars = Vec::with_capacity(trace.path_conds.len());
         for (c, pc) in trace.path_conds.iter().enumerate() {
-            let c = c as u32;
-            stack.push(pc.expr);
-            while let Some(e) = stack.pop() {
-                if std::mem::replace(&mut seen[e.index()], c) == c {
-                    continue;
-                }
-                match trace.arena.node(e) {
-                    Node::Const(_) => {}
-                    Node::Sym(v) => {
-                        if var_conds[v.index()].last() != Some(&c) {
-                            var_conds[v.index()].push(c);
-                            cond_vars[c as usize] += 1;
-                        }
-                    }
-                    Node::Unary(_, a) => stack.push(a),
-                    Node::Binary(_, a, b) => stack.extend([a, b]),
-                    Node::Ite(x, y, z) => stack.extend([x, y, z]),
-                }
+            let vars = trace.arena.vars(pc.expr);
+            cond_vars.push(vars.len() as u32);
+            for v in vars {
+                var_conds[v.index()].push(c as u32);
             }
         }
 

@@ -205,7 +205,7 @@ impl<'a> Walk<'a> {
     pub fn new(program: &'a Program, system: &'a ConstraintSystem<'a>) -> Self {
         let trace = system.trace;
         let n = trace.sap_count();
-        let mut memory = Vec::new();
+        let mut memory = Vec::with_capacity(program.globals.iter().map(|g| g.cells()).sum());
         let mut cell_base = Vec::with_capacity(program.globals.len());
         for (g, decl) in program.globals.iter().enumerate() {
             cell_base.push(memory.len() as u32);
@@ -227,8 +227,8 @@ impl<'a> Walk<'a> {
             owner: vec![None; program.mutexes.len()],
             queues: vec![Queue::default(); program.chans.len() + trace.thread_count()],
             trail: Vec::new(),
-            order_pos: vec![0; n],
-            seen: vec![false; trace.thread_count()],
+            order_pos: Vec::new(),
+            seen: Vec::new(),
         }
     }
 
@@ -242,6 +242,7 @@ impl<'a> Walk<'a> {
     pub fn validate(&mut self, schedule: &Schedule) -> Result<Witness, ValidationError> {
         self.undo_to(0);
         let order = &schedule.order;
+        self.order_pos.resize(order.len(), 0);
         for (i, s) in order.iter().enumerate() {
             self.order_pos[s.index()] = i as u32;
         }
@@ -642,7 +643,8 @@ impl<'a> Walk<'a> {
     ) -> Option<bool> {
         let rest = rest?;
         let trace = self.system.trace;
-        self.seen.fill(false);
+        self.seen.clear();
+        self.seen.resize(trace.thread_count(), false);
         self.seen[sender.index()] = true;
         for &x in rest {
             let sap = trace.sap(x);

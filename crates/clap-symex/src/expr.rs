@@ -57,7 +57,8 @@ pub enum Node {
     Ite(ExprId, ExprId, ExprId),
 }
 
-/// The memo behind [`ExprArena::eval`]: slot `i` holds the value of node
+/// The memo behind [`ExprArena::eval`] (whose stamps [`ExprArena::vars`]
+/// also uses to mark visited nodes): slot `i` holds the value of node
 /// `i` when its stamp is the current call's. Each call takes a fresh
 /// stamp, which invalidates every slot at once, so the array is reused
 /// across calls (and arenas) without being cleared. It grows to the
@@ -243,35 +244,38 @@ impl ExprArena {
         Some(v)
     }
 
-    /// Collects the symbolic variables an expression depends on.
+    /// Collects the symbolic variables an expression depends on. Shared
+    /// subterms are visited once, marked with a fresh stamp in the
+    /// evaluation memo, so no call builds a set of its own.
     pub fn vars(&self, id: ExprId) -> Vec<SymVarId> {
-        let mut seen_nodes = std::collections::HashSet::new();
-        let mut vars = Vec::new();
-        let mut stack = vec![id];
-        while let Some(e) = stack.pop() {
-            if !seen_nodes.insert(e) {
-                continue;
+        EVAL_MEMO.with(|cell| {
+            let mut memo = cell.take();
+            memo.stamp += 1;
+            if memo.slots.len() < self.nodes.len() {
+                memo.slots.resize(self.nodes.len(), (0, 0));
             }
-            match self.node(e) {
-                Node::Const(_) => {}
-                Node::Sym(s) => {
-                    if !vars.contains(&s) {
-                        vars.push(s);
+            let mut vars = Vec::new();
+            let mut stack = vec![id];
+            while let Some(e) = stack.pop() {
+                let seen = &mut memo.slots[e.index()].0;
+                if std::mem::replace(seen, memo.stamp) == memo.stamp {
+                    continue;
+                }
+                match self.node(e) {
+                    Node::Const(_) => {}
+                    Node::Sym(s) => {
+                        if !vars.contains(&s) {
+                            vars.push(s);
+                        }
                     }
-                }
-                Node::Unary(_, a) => stack.push(a),
-                Node::Binary(_, a, b) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Node::Ite(c, t, e2) => {
-                    stack.push(c);
-                    stack.push(t);
-                    stack.push(e2);
+                    Node::Unary(_, a) => stack.push(a),
+                    Node::Binary(_, a, b) => stack.extend([a, b]),
+                    Node::Ite(c, t, e2) => stack.extend([c, t, e2]),
                 }
             }
-        }
-        vars
+            cell.set(memo);
+            vars
+        })
     }
 
     /// `Some(v)` when the expression is a constant.
