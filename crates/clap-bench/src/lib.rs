@@ -94,9 +94,8 @@ pub fn workload_config(workload: &Workload) -> PipelineConfig {
 /// The solver a workload is reproduced with where a run must not depend
 /// on the host: the sequential search, unless the program passes
 /// messages. The sequential search alone gives up on some channel
-/// traces, so those get the adaptive portfolio, with one validator
-/// worker so that the schedule does not depend on how a shared host
-/// schedules a pool. `timeout` is the solve deadline either way.
+/// traces, so those get the adaptive portfolio. `timeout` is the solve
+/// deadline either way.
 pub fn solver_for(program: &Program, timeout: Duration) -> SolverChoice {
     let passes_messages = program
         .functions
@@ -117,13 +116,7 @@ pub fn solver_for(program: &Program, timeout: Duration) -> SolverChoice {
             )
         });
     if passes_messages {
-        SolverChoice::Auto(AutoConfig {
-            parallel: ParallelConfig {
-                workers: 1,
-                ..ParallelConfig::default()
-            },
-            ..AutoConfig::default().with_solve_timeout(timeout)
-        })
+        SolverChoice::Auto(AutoConfig::default().with_solve_timeout(timeout))
     } else {
         SolverChoice::Sequential(SolverConfig {
             timeout: Some(timeout),

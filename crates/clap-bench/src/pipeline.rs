@@ -22,12 +22,12 @@
 //! | `decode` | all | path-log bytes decoded |
 //! | `symex` | all | shared access points of the trace |
 //! | `constrain` | all | constraint clauses |
-//! | `solve` | all | solver decisions plus validated candidate schedules |
+//! | `solve` | all | solver decisions plus generated candidate schedules, each validated |
 //! | `replay` | all | VM steps of the replay |
 //! | `sweep` | [`VM_WORKLOADS`] | VM steps of [`vm::SWEEP_SEEDS`] seeded runs |
 //! | `oracle` | [`VM_WORKLOADS`] | oracle executions, capped at [`vm::ORACLE_EXECUTIONS`] |
 //! | `memmodel_{sc,tso,pso}` | dekker | VM steps of 100 seeded runs under each model |
-//! | `csbound_{1,2,3}` | chan_fanin | candidates the one-worker parallel engine validated up to that preemption bound |
+//! | `csbound_{1,2,3}` | chan_fanin | candidates the generate-and-validate engine validated up to that preemption bound |
 //! | `pruning_{on,off}` | peterson | candidates generated at preemption bound 1, with and without prefix pruning |
 //! | `syncorder_{off,on}` | pfscan | sequential solver decisions without and with the recorded sync order |
 //!
@@ -38,7 +38,7 @@
 
 use crate::vm::{self, VM_WORKLOADS};
 use crate::{solver_for, workload_config};
-use clap_constraints::{ConstraintSystem, Schedule, Walk};
+use clap_constraints::ConstraintSystem;
 use clap_core::{Pipeline, PipelineConfig, RecordedFailure};
 use clap_ir::Program;
 use clap_parallel::{for_each_csp_set, solve_parallel, Generator, ParallelConfig};
@@ -165,7 +165,7 @@ fn phase_cells(workload: &Workload) -> Vec<Cell> {
         report.log_bytes as u64,
         report.saps as u64,
         report.constraints.total_clauses() as u64,
-        counter("solver.decisions") + counter("parallel.validated"),
+        counter("solver.decisions") + counter("parallel.generated"),
         report.replay.steps,
     ];
 
@@ -232,9 +232,8 @@ fn recorded_trace(
 
 /// The preemption bound's effect on the parallel engine: chan_fanin,
 /// whose first schedule needs two preemptions, solved with bounds `0..=1`
-/// (which exhausts), `0..=2` and `0..=3`. One validator takes the
-/// candidates in generation order, so the count it validates does not
-/// depend on thread timing (the count generated does).
+/// (which exhausts), `0..=2` and `0..=3`. Each candidate is validated as
+/// it is generated, so the count generated is the count validated.
 fn csbound_cells() -> Vec<Cell> {
     let workload = clap_workloads::by_name("chan_fanin").expect("chan_fanin exists");
     let (pipeline, _, trace) = recorded_trace(&workload, false);
@@ -243,14 +242,13 @@ fn csbound_cells() -> Vec<Cell> {
         .into_iter()
         .map(|(phase, max_cs)| {
             let config = ParallelConfig {
-                workers: 1,
                 max_cs,
                 ..ParallelConfig::default()
             };
             measure(workload.name, phase, || {
                 solve_parallel(pipeline.program(), &system, config)
                     .stats()
-                    .validated
+                    .generated
             })
         })
         .collect()
@@ -272,17 +270,13 @@ fn pruning_cells() -> Vec<Cell> {
                 let mut generator = if prune {
                     Generator::new(program, &system, CANDIDATES)
                 } else {
-                    Generator::without_pruning(&system, CANDIDATES)
+                    Generator::without_pruning(program, &system, CANDIDATES)
                 };
                 let mut generated = 0;
-                let mut walk = Walk::new(program, &system);
-                let mut schedule = Schedule { order: Vec::new() };
                 for_each_csp_set(&system, 1, 200, &mut |set| {
-                    generator.run(set, &mut |order| {
+                    generator.run(set, &mut |_, verdict| {
                         generated += 1;
-                        schedule.order.clear();
-                        schedule.order.extend_from_slice(order);
-                        black_box(walk.validate(&schedule).is_ok());
+                        black_box(verdict.is_ok());
                         generated < CANDIDATES
                     })
                 });

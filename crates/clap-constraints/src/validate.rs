@@ -5,8 +5,7 @@
 //! its cell, so the symbolic variables get concrete values, so the path
 //! conditions and the bug predicate can simply be evaluated, and lock /
 //! wait legality can be simulated in one pass. This is the cheap
-//! per-candidate check that makes the §4.3 generate-and-validate search
-//! embarrassingly parallel.
+//! per-candidate check of the §4.3 generate-and-validate search.
 //!
 //! The pass is a [`Walk`]: it applies one SAP at a time and keeps an undo
 //! trail. [`validate`] walks a whole order; the schedule generator walks
@@ -18,6 +17,12 @@
 //! and the cells and queues that hold such values. An unknown never
 //! rejects, so the walk rejects a prefix only where the validator rejects
 //! every completion of it.
+//!
+//! Once the generator's walk has placed a whole candidate, it holds what
+//! [`validate`] would: [`Walk::verdict`] evaluates the rest and builds
+//! the witness. A walk that bound an unknown cannot decide, nor can one
+//! over a trace that sends on a capacity-0 channel, since it assumed the
+//! rendezvous completes; such a candidate is validated from scratch.
 
 use crate::schedule::Schedule;
 use crate::system::{ConstraintSystem, ReadSource};
@@ -115,7 +120,7 @@ pub fn validate(
     system: &ConstraintSystem<'_>,
     schedule: &Schedule,
 ) -> Result<Witness, ValidationError> {
-    Walk::new(program, system).validate(schedule)
+    Walk::new(program, system).validate(&schedule.order)
 }
 
 /// The position of a SAP not placed yet.
@@ -183,6 +188,10 @@ pub struct Walk<'a> {
     assignment: Vec<Option<i64>>,
     /// Variables bound to an unknown value.
     unknown_vars: u32,
+    /// Whether the trace sends on a capacity-0 channel, a send that a
+    /// walk with no lookahead assumes completes; looked up by the first
+    /// [`Walk::verdict`], so a walk that only validates never pays for it.
+    rendezvous: Option<bool>,
     /// Per path condition: its variables not bound yet.
     cond_open: Vec<u32>,
     /// One slot per cell of every global; `None` is unknown.
@@ -221,6 +230,7 @@ impl<'a> Walk<'a> {
             source: vec![ReadSource::Init; n],
             assignment: vec![None; trace.sym_vars.len()],
             unknown_vars: 0,
+            rendezvous: None,
             cond_open: system.cond_vars.clone(),
             writer: vec![ReadSource::Init; memory.len()],
             memory,
@@ -234,14 +244,13 @@ impl<'a> Walk<'a> {
 
     /// Validates a whole schedule, starting from the empty walk: the hard
     /// edges, then the walk over the order with each SAP knowing the SAPs
-    /// after it, then the path conditions and the bug predicate.
+    /// after it, then [`Walk::verdict`]'s checks.
     ///
     /// # Errors
     ///
     /// As [`validate`].
-    pub fn validate(&mut self, schedule: &Schedule) -> Result<Witness, ValidationError> {
+    pub fn validate(&mut self, order: &[SapId]) -> Result<Witness, ValidationError> {
         self.undo_to(0);
-        let order = &schedule.order;
         self.order_pos.resize(order.len(), 0);
         for (i, s) in order.iter().enumerate() {
             self.order_pos[s.index()] = i as u32;
@@ -257,25 +266,25 @@ impl<'a> Walk<'a> {
         for (i, &s) in order.iter().enumerate() {
             self.push(s, Some(&order[i + 1..]))?;
         }
-        self.finish()?;
-        let trace = self.system.trace;
-        let reads_from = order
-            .iter()
-            .filter(|&&s| {
-                matches!(
-                    trace.sap(s).kind,
-                    SapKind::Read { .. }
-                        | SapKind::AtomicLoad { .. }
-                        | SapKind::AtomicRmw { .. }
-                        | SapKind::AtomicCas { .. }
-                )
+        self.finish(order)
+    }
+
+    /// [`validate`]'s verdict on `order`, read off a walk that placed
+    /// every SAP of it in that order with no lookahead and respecting the
+    /// hard edges: the path conditions the walk has not decided, the bug
+    /// predicate, then the witness. `None` when the walk bound an unknown
+    /// value, or when the trace sends on a capacity-0 channel, since the
+    /// walk assumed the rendezvous completes; only [`Walk::validate`]
+    /// decides such an order.
+    pub fn verdict(&mut self, order: &[SapId]) -> Option<Result<Witness, ValidationError>> {
+        let (program, trace) = (self.program, self.system.trace);
+        debug_assert_eq!(order.len(), trace.sap_count());
+        let rendezvous = *self.rendezvous.get_or_insert_with(|| {
+            trace.saps.iter().any(|sap| {
+                matches!(sap.kind, SapKind::Send { chan, .. } if program.chans[chan.index()].cap == 0)
             })
-            .map(|&s| (s, self.source[s.index()]))
-            .collect();
-        Ok(Witness {
-            assignment: self.assignment.iter().map(|v| v.unwrap_or(0)).collect(),
-            reads_from,
-        })
+        });
+        (self.unknown_vars == 0 && !rendezvous).then(|| self.finish(order))
     }
 
     /// The trail's length, to [`undo_to`](Walk::undo_to) later.
@@ -493,8 +502,8 @@ impl<'a> Walk<'a> {
     }
 
     /// The path conditions the walk has not decided, then the bug
-    /// predicate, once every SAP is placed.
-    fn finish(&self) -> Result<(), ValidationError> {
+    /// predicate, once every SAP of `order` is placed; then the witness.
+    fn finish(&self, order: &[SapId]) -> Result<Witness, ValidationError> {
         let trace = self.system.trace;
         for (index, pc) in trace.path_conds.iter().enumerate() {
             // `assign` checked each condition when it bound its last
@@ -504,10 +513,26 @@ impl<'a> Walk<'a> {
                 return Err(ValidationError::PathViolation { index });
             }
         }
-        match self.eval(trace.bug) {
-            Some(v) if v != 0 => Ok(()),
-            _ => Err(ValidationError::BugNotManifested),
+        if self.eval(trace.bug).is_none_or(|v| v == 0) {
+            return Err(ValidationError::BugNotManifested);
         }
+        let reads_from = order
+            .iter()
+            .filter(|&&s| {
+                matches!(
+                    trace.sap(s).kind,
+                    SapKind::Read { .. }
+                        | SapKind::AtomicLoad { .. }
+                        | SapKind::AtomicRmw { .. }
+                        | SapKind::AtomicCas { .. }
+                )
+            })
+            .map(|&s| (s, self.source[s.index()]))
+            .collect();
+        Ok(Witness {
+            assignment: self.assignment.iter().map(|v| v.unwrap_or(0)).collect(),
+            reads_from,
+        })
     }
 
     fn eval(&self, e: ExprId) -> Option<i64> {

@@ -868,22 +868,15 @@ mod tests {
     }
 
     #[test]
-    fn auto_portfolio_is_deterministic_without_racing() {
-        // One validator worker makes every attempt deterministic, so the same recording must yield the same
-        // schedule on repeated solves.
+    fn auto_portfolio_is_deterministic() {
+        // Every attempt is a function of the trace, so the same recording
+        // must yield the same schedule and report on repeated solves.
         let pipeline = Pipeline::from_source(LOST_UPDATE).unwrap();
         let config = PipelineConfig::new(MemModel::Sc);
         let recorded = pipeline.record_failure(&config).unwrap();
         let trace = pipeline.symbolic_trace(&recorded).unwrap();
         let system = ConstraintSystem::build(pipeline.program(), &trace, MemModel::Sc);
-        let auto = AutoConfig {
-            parallel: ParallelConfig {
-                workers: 1,
-                ..ParallelConfig::default()
-            },
-            ..AutoConfig::default()
-        };
-        let solve_once = || match solve_auto(pipeline.program(), &system, &auto) {
+        let solve_once = || match solve_auto(pipeline.program(), &system, &AutoConfig::default()) {
             PortfolioOutcome::Found {
                 schedule, report, ..
             } => (schedule, report),

@@ -37,7 +37,7 @@ pub struct AutoConfig {
     /// Overall wall-clock budget across every attempt, anchored when the
     /// solve phase starts (`None` = unbounded).
     pub solve_timeout: Option<Duration>,
-    /// Base knobs for the parallel engine (workers, stop count).
+    /// Base knobs for the generate-and-validate engine (its stop count).
     /// `min_cs`/`max_cs`/`timeout` are overridden per rung.
     pub parallel: ParallelConfig,
 }

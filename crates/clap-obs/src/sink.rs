@@ -635,7 +635,7 @@ mod tests {
             let _child = span("explore.worker");
             add("explore.seeds", 42);
             gauge("schedule.context_switches", 1);
-            observe("parallel.batch_occupancy", 64);
+            observe("serve.queue.wait_us", 64);
             event("dbg.frontier", &[("thread", "2".to_owned())]);
         }
         disable();
@@ -833,12 +833,12 @@ mod tests {
         assert!(text.contains("# TYPE clap_explore_seeds counter"));
         assert!(text.contains("clap_explore_seeds 42"));
         assert!(text.contains("# TYPE clap_schedule_context_switches gauge"));
-        assert!(text.contains("# TYPE clap_parallel_batch_occupancy histogram"));
-        assert!(text.contains("clap_parallel_batch_occupancy_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("clap_parallel_batch_occupancy_count 1"));
+        assert!(text.contains("# TYPE clap_serve_queue_wait_us histogram"));
+        assert!(text.contains("clap_serve_queue_wait_us_bucket{le=\"+Inf\"} 1"));
+        assert!(text.contains("clap_serve_queue_wait_us_count 1"));
         for q in ["p50", "p95", "p99"] {
             assert!(
-                text.contains(&format!("clap_parallel_batch_occupancy_{q} ")),
+                text.contains(&format!("clap_serve_queue_wait_us_{q} ")),
                 "missing {q}:\n{text}"
             );
         }

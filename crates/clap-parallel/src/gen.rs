@@ -15,8 +15,13 @@
 //! Enumerating CSP sets by increasing size and exhausting each size before
 //! the next makes the first validated schedule one with the **minimal**
 //! number of preemptions.
+//!
+//! The generator walks each prefix with the validator's rules and drops
+//! it at the first SAP the validator rejects for every completion, so a
+//! complete candidate arrives with its verdict already walked: see
+//! [`Generator::run`].
 
-use clap_constraints::{ConstraintSystem, Walk};
+use clap_constraints::{ConstraintSystem, ValidationError, Walk, Witness};
 use clap_ir::Program;
 use clap_symex::{SapId, SapKind};
 
@@ -32,9 +37,10 @@ pub struct Csp {
     pub t2: u32,
 }
 
-/// Generates schedules for one CSP set, invoking `emit` per schedule.
-/// `emit` returns `false` to stop the enumeration early.
+/// Generates schedules for one CSP set, invoking `emit` per schedule with
+/// its verdict. `emit` returns `false` to stop the enumeration early.
 pub struct Generator<'a, 't> {
+    program: &'a Program,
     sys: &'a ConstraintSystem<'t>,
     /// Hard-edge successors (by SAP index).
     succ: Vec<Vec<u32>>,
@@ -68,27 +74,34 @@ pub struct Generator<'a, 't> {
     out_of_budget: bool,
     /// Prefix pruning: the validator's walk over the prefix, which
     /// abandons it at the first SAP the validator rejects for every
-    /// completion (massive search-space cut; the final validator remains
-    /// the arbiter).
+    /// completion (massive search-space cut), and gives a complete
+    /// candidate's verdict.
     walk: Option<Walk<'a>>,
+    /// The walk that validates from scratch a candidate the pruning walk
+    /// cannot decide, built on first use.
+    scratch: Option<Walk<'a>>,
 }
 
 impl<'a, 't> Generator<'a, 't> {
     /// Creates a generator over the constraint system with prefix pruning
     /// enabled. `budget` caps the number of schedules emitted across all
-    /// calls (0 = unlimited).
+    /// calls since the counters were last reset (0 = unlimited).
     pub fn new(program: &'a Program, sys: &'a ConstraintSystem<'t>, budget: u64) -> Self {
-        let mut generator = Self::without_pruning(sys, budget);
+        let mut generator = Self::without_pruning(program, sys, budget);
         generator.walk = Some(Walk::new(program, sys));
         generator
     }
 
-    /// Creates a generator that enumerates blindly (the paper's plain
-    /// generate-then-validate split). Its users are the property tests,
-    /// which hold the pruned generator to it, the validator's verdict
-    /// snapshot, which judges its candidates, and `bench_pipeline`'s
-    /// `pruning_off` row.
-    pub fn without_pruning(sys: &'a ConstraintSystem<'t>, budget: u64) -> Self {
+    /// Creates a generator that enumerates blindly and validates every
+    /// candidate from scratch (the paper's plain generate-then-validate
+    /// split). Its users are the property tests, which hold the pruned
+    /// generator to it, the validator's verdict snapshot, which judges its
+    /// candidates, and `bench_pipeline`'s `pruning_off` row.
+    pub fn without_pruning(
+        program: &'a Program,
+        sys: &'a ConstraintSystem<'t>,
+        budget: u64,
+    ) -> Self {
         let n = sys.trace.sap_count();
         let mut succ = vec![Vec::new(); n];
         let mut indeg = vec![0u32; n];
@@ -111,6 +124,7 @@ impl<'a, 't> Generator<'a, 't> {
             has_wait[thread_of[w.wait.index()] as usize] = true;
         }
         Generator {
+            program,
             sys,
             succ,
             indeg,
@@ -129,6 +143,7 @@ impl<'a, 't> Generator<'a, 't> {
             deadline: None,
             out_of_budget: false,
             walk: None,
+            scratch: None,
         }
     }
 
@@ -142,24 +157,55 @@ impl<'a, 't> Generator<'a, 't> {
         self.deadline = deadline;
     }
 
-    /// `true` when a node budget or deadline stopped the last run early.
+    /// `true` when a node budget or deadline stopped a run early since
+    /// the counters were last reset.
     pub fn hit_budget(&self) -> bool {
         self.out_of_budget
     }
 
-    /// Number of schedules generated so far.
+    /// Number of schedules generated since the counters were last reset.
     pub fn generated(&self) -> u64 {
         self.generated
     }
 
-    /// Runs the enumeration for one CSP set. Returns `false` when `emit`
-    /// asked to stop or the budget ran out.
-    pub fn run(&mut self, csps: &[Csp], emit: &mut impl FnMut(&[SapId]) -> bool) -> bool {
+    /// Zeroes the schedule and node counts the budgets cap, and clears
+    /// [`hit_budget`](Generator::hit_budget): the next runs start a fresh
+    /// preemption-bound rung.
+    pub fn reset_counters(&mut self) {
+        self.generated = 0;
+        self.nodes = 0;
+        self.out_of_budget = false;
+    }
+
+    /// Runs the enumeration for one CSP set, handing `emit` each complete
+    /// candidate with [`validate`](clap_constraints::validate())'s verdict
+    /// on it. The pruning walk has placed every SAP of the candidate
+    /// with the validator's rules, so the verdict is read off it; a
+    /// candidate it cannot decide, or any candidate of a blind generator,
+    /// is validated from scratch. Returns `false` when `emit` asked to
+    /// stop or the budget ran out.
+    pub fn run(
+        &mut self,
+        csps: &[Csp],
+        emit: &mut impl FnMut(&[SapId], Result<Witness, ValidationError>) -> bool,
+    ) -> bool {
         debug_assert!(self.order.is_empty());
         // Each CSP fires at most once.
         self.csp_used.clear();
         self.csp_used.resize(csps.len(), false);
         self.dfs(0, csps, emit)
+    }
+
+    /// The complete candidate's verdict: the pruning walk's, or else a
+    /// validation from scratch.
+    fn verdict(&mut self) -> Result<Witness, ValidationError> {
+        if let Some(verdict) = self.walk.as_mut().and_then(|w| w.verdict(&self.order)) {
+            return verdict;
+        }
+        let (program, sys) = (self.program, self.sys);
+        self.scratch
+            .get_or_insert_with(|| Walk::new(program, sys))
+            .validate(&self.order)
     }
 
     /// Whether SAP `s` is ready (all hard predecessors done) and
@@ -240,12 +286,14 @@ impl<'a, 't> Generator<'a, 't> {
     /// Every branch leaves the state as it found it, so the choices at a
     /// node are read off the state as the loop reaches them, with no
     /// list built per node.
-    fn dfs(&mut self, cur: u32, csps: &[Csp], emit: &mut impl FnMut(&[SapId]) -> bool) -> bool {
+    fn dfs(
+        &mut self,
+        cur: u32,
+        csps: &[Csp],
+        emit: &mut impl FnMut(&[SapId], Result<Witness, ValidationError>) -> bool,
+    ) -> bool {
         if self.order.len() == self.done.len() {
-            self.generated += 1;
-            let keep_going = emit(&self.order);
-            let in_budget = self.budget == 0 || self.generated < self.budget;
-            return keep_going && in_budget;
+            return self.complete(emit);
         }
         // A pending CSP preempts the current thread before its next SAP,
         // firing at most once. A set holds a handful of CSPs with distinct
@@ -315,11 +363,26 @@ impl<'a, 't> Generator<'a, 't> {
         true
     }
 
+    /// Counts the complete candidate and hands it to `emit` with its
+    /// verdict. Kept out of line: inlined, the verdict's temporaries
+    /// would grow every frame of the recursive DFS.
+    #[inline(never)]
+    fn complete(
+        &mut self,
+        emit: &mut impl FnMut(&[SapId], Result<Witness, ValidationError>) -> bool,
+    ) -> bool {
+        self.generated += 1;
+        let verdict = self.verdict();
+        let keep_going = emit(&self.order, verdict);
+        let in_budget = self.budget == 0 || self.generated < self.budget;
+        keep_going && in_budget
+    }
+
     fn switch_to(
         &mut self,
         t2: u32,
         csps: &[Csp],
-        emit: &mut impl FnMut(&[SapId]) -> bool,
+        emit: &mut impl FnMut(&[SapId], Result<Witness, ValidationError>) -> bool,
     ) -> bool {
         if !self.has_ready(t2) {
             // The CSP's target cannot run here: prune this branch.
@@ -443,7 +506,7 @@ mod tests {
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let mut gen = Generator::new(&program, &sys, 0);
         let mut all = Vec::new();
-        gen.run(&[], &mut |order| {
+        gen.run(&[], &mut |order, _| {
             all.push(order.to_vec());
             true
         });
@@ -465,7 +528,7 @@ mod tests {
         for_each_csp_set(&sys, 1, 0, &mut |set| {
             let mut gen = Generator::new(&program, &sys, 0);
             let mut keep = true;
-            gen.run(set, &mut |order| {
+            gen.run(set, &mut |order, _| {
                 let s = Schedule::new(order.to_vec(), &trace);
                 if validate(&program, &sys, &s).is_ok() {
                     found = Some((set.to_vec(), s));
@@ -502,10 +565,10 @@ mod tests {
             let mut gen = if pruned {
                 Generator::new(program, sys, 0)
             } else {
-                Generator::without_pruning(sys, 0)
+                Generator::without_pruning(program, sys, 0)
             };
             for_each_csp_set(sys, c, 0, &mut |set| {
-                gen.run(set, &mut |order| {
+                gen.run(set, &mut |order, _| {
                     let s = Schedule::new(order.to_vec(), sys.trace);
                     if validate(program, sys, &s).is_ok() {
                         good.push(s);
@@ -544,7 +607,7 @@ mod tests {
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let mut gen = Generator::new(&program, &sys, 2);
         let mut n = 0;
-        gen.run(&[], &mut |_| {
+        gen.run(&[], &mut |_, _| {
             n += 1;
             true
         });

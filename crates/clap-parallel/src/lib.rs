@@ -1,8 +1,11 @@
-//! Parallel constraint solving for CLAP (§4.3): preemption-bounded
-//! schedule **generation** (per-thread stacks for SC, SAP-DAG frontiers
-//! for TSO/PSO, context-switch-point sets to avoid duplicates) plus
-//! embarrassingly parallel **validation** of each candidate against the
-//! full constraint system.
+//! Generate-and-validate constraint solving for CLAP (§4.3):
+//! preemption-bounded schedule **generation** (per-thread stacks for SC,
+//! SAP-DAG frontiers for TSO/PSO, context-switch-point sets to avoid
+//! duplicates) with **validation** of each candidate against the full
+//! constraint system. The paper validates on a pool of threads; here the
+//! generator walks every prefix with the validator's rules to prune it,
+//! so a complete candidate's verdict is read off that walk on the
+//! generating thread.
 //!
 //! Because CSP sets are enumerated by increasing size and each size is
 //! exhausted before the next, the first validated schedule reproduces the
@@ -12,8 +15,7 @@ pub mod engine;
 pub mod gen;
 
 pub use engine::{
-    available_cores, solve_parallel, worst_case_schedules_log10, ParallelConfig, ParallelOutcome,
-    ParallelStats,
+    solve_parallel, worst_case_schedules_log10, ParallelConfig, ParallelOutcome, ParallelStats,
 };
 pub use gen::{csp_universe, for_each_csp_set, preemption_point_count, Csp, Generator};
 

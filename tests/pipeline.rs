@@ -23,10 +23,7 @@ use clap_core::{AutoConfig, EngineKind, Pipeline, PipelineConfig, SolverChoice};
 use clap_parallel::ParallelConfig;
 use clap_solver::{SolveOutcome, SolverConfig};
 use clap_workloads::Workload;
-use common::Fnv;
-use std::fs;
-use std::path::Path;
-use std::sync::Mutex;
+use common::{check_snapshot_lines, Fnv};
 use std::time::Duration;
 
 const RECORDINGS: &str = "tests/snapshots/workload_recordings.snap";
@@ -82,42 +79,11 @@ fn reproduce_and_describe(workload: &Workload, config: &PipelineConfig) -> Strin
     )
 }
 
-/// Compares `lines` (one per workload, name first) with their lines in
-/// the snapshot at `path`, or rewrites those lines under `CLAP_BLESS`.
-/// Several tests share a snapshot and run concurrently; each owns only
-/// its own workloads' lines.
+/// [`check_snapshot_lines`] with the workloads in snapshot order.
 fn check_snapshot(path: &str, lines: &[String]) {
-    static BLESS: Mutex<()> = Mutex::new(());
-    fn name(line: &str) -> &str {
-        line.split(' ').next().unwrap_or(line)
-    }
-    let file = Path::new(path);
-    if std::env::var_os("CLAP_BLESS").is_some() {
-        let _guard = BLESS.lock().unwrap_or_else(|e| e.into_inner());
-        let mut all: Vec<String> = fs::read_to_string(file)
-            .unwrap_or_default()
-            .lines()
-            .filter(|old| !lines.iter().any(|new| name(new) == name(old)))
-            .map(str::to_owned)
-            .chain(lines.iter().cloned())
-            .collect();
-        let order: Vec<&str> = every_workload().iter().map(|w| w.name).collect();
-        all.sort_by_key(|line| order.iter().position(|&n| n == name(line)));
-        fs::create_dir_all(file.parent().expect("snapshot dir")).expect("create snapshot dir");
-        fs::write(file, all.join("\n") + "\n").expect("write snapshot");
-        return;
-    }
-    let expected = fs::read_to_string(file)
-        .unwrap_or_else(|_| panic!("{path} missing — run CLAP_BLESS=1 cargo test --test pipeline"));
-    for line in lines {
-        let pinned = expected.lines().find(|old| name(old) == name(line));
-        assert_eq!(
-            pinned,
-            Some(line.as_str()),
-            "{path} drifted; if the change is intended, \
-             regenerate with CLAP_BLESS=1 cargo test --test pipeline"
-        );
-    }
+    check_snapshot_lines(path, lines, || {
+        every_workload().iter().map(|w| w.name.to_owned()).collect()
+    });
 }
 
 /// The three workload families, in snapshot order.

@@ -300,7 +300,9 @@ fn example_corpus_canonicalizes() {
 
 /// Holds the pruned generator to the blind one on `system`: over rungs
 /// `0..=2`, each running its first `max_sets` CSP sets (0 = all of them),
-/// both must have `validate` accept the same schedules in the same order.
+/// each generator's verdict on each of its candidates must be
+/// `validate`'s (accepted with the same witness, or rejected), and
+/// `validate` must accept the same schedules of both, in the same order.
 /// Each generator visits at most `max_nodes` DFS nodes a rung (0 = no
 /// limit). Pruning only cuts subtrees out of the blind DFS, so under the
 /// same limit the pruned search gets at least as far; where the blind one
@@ -314,24 +316,37 @@ fn pruned_matches_blind(
     for c in 0..=2 {
         let mut accepted: [Vec<Vec<SapId>>; 2] = Default::default();
         let mut blind_cut = false;
+        let mut disagreed = None;
         for (side, pruned) in [true, false].into_iter().enumerate() {
             let mut generator = if pruned {
                 clap_parallel::Generator::new(program, system, 0)
             } else {
-                clap_parallel::Generator::without_pruning(system, 0)
+                clap_parallel::Generator::without_pruning(program, system, 0)
             };
             generator.set_node_budget(max_nodes);
             clap_parallel::for_each_csp_set(system, c, max_sets, &mut |set| {
-                generator.run(set, &mut |order| {
+                generator.run(set, &mut |order, verdict| {
                     let schedule = Schedule {
                         order: order.to_vec(),
                     };
-                    if validate(program, system, &schedule).is_ok() {
+                    let reference = validate(program, system, &schedule);
+                    if verdict.as_ref().ok() != reference.as_ref().ok() {
+                        disagreed = Some(format!(
+                            "rung {c}: the {} generator's verdict {verdict:?} on {order:?} \
+                             against validate's {reference:?}",
+                            if pruned { "pruned" } else { "blind" }
+                        ));
+                        return false;
+                    }
+                    if reference.is_ok() {
                         accepted[side].push(schedule.order);
                     }
                     true
                 })
             });
+            if let Some(e) = disagreed.take() {
+                return Err(e);
+            }
             blind_cut = !pruned && generator.hit_budget();
         }
         let [pruned, blind] = &accepted;

@@ -13,12 +13,13 @@
 //! Every test takes `clap_obs::test_lock()` first: the counters come from
 //! the process-global collector, which every sweep in the file feeds.
 
+mod common;
+
 use clap_core::{Pipeline, PipelineConfig};
 use clap_vm::{MemModel, NullMonitor, RandomScheduler, Vm};
+use common::check_snapshot_file;
 use proptest::prelude::*;
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
 use std::sync::Arc;
 
 const SNAPSHOT: &str = "tests/snapshots/record_work.snap";
@@ -52,20 +53,7 @@ fn record_sweep_work_is_pinned() {
             counter("explore.cuts"),
         );
     }
-    let path = Path::new(SNAPSHOT);
-    if std::env::var_os("CLAP_BLESS").is_some() {
-        fs::create_dir_all(path.parent().expect("snapshot dir")).expect("create snapshot dir");
-        fs::write(path, &actual).expect("write snapshot");
-        return;
-    }
-    let expected = fs::read_to_string(path).unwrap_or_else(|_| {
-        panic!("{SNAPSHOT} missing — run CLAP_BLESS=1 cargo test --test record_sweep")
-    });
-    assert_eq!(
-        actual, expected,
-        "record sweep work drifted from the snapshot; if the change is intended, \
-         regenerate with CLAP_BLESS=1 cargo test --test record_sweep"
-    );
+    check_snapshot_file(SNAPSHOT, &actual);
 }
 
 #[test]

@@ -25,10 +25,7 @@ use clap_core::{Pipeline, PipelineConfig};
 use clap_parallel::{for_each_csp_set, Generator};
 use clap_solver::SolverConfig;
 use clap_vm::MemModel;
-use common::Fnv;
-use std::fs;
-use std::path::Path;
-use std::sync::Mutex;
+use common::{check_snapshot_lines, Fnv};
 
 const SNAPSHOT: &str = "tests/snapshots/validate_verdicts.snap";
 
@@ -75,9 +72,9 @@ fn verdict_line(name: &str, pipeline: &Pipeline, config: &PipelineConfig) -> Str
 
     let mut candidates: Vec<Schedule> = Vec::new();
     for c in 0..=1 {
-        let mut generator = Generator::without_pruning(&system, 0);
+        let mut generator = Generator::without_pruning(program, &system, 0);
         for_each_csp_set(&system, c, 0, &mut |set| {
-            generator.run(set, &mut |order| {
+            generator.run(set, &mut |order, _| {
                 candidates.push(Schedule {
                     order: order.to_vec(),
                 });
@@ -140,44 +137,6 @@ fn every_name() -> Vec<String> {
     names
 }
 
-/// Compares `lines` with their lines in [`SNAPSHOT`], or rewrites those
-/// lines under `CLAP_BLESS`. The tests below share the snapshot and run
-/// concurrently; each owns only its own programs' lines.
-fn check_snapshot(lines: &[String]) {
-    static BLESS: Mutex<()> = Mutex::new(());
-    fn name(line: &str) -> &str {
-        line.split(' ').next().unwrap_or(line)
-    }
-    let file = Path::new(SNAPSHOT);
-    if std::env::var_os("CLAP_BLESS").is_some() {
-        let _guard = BLESS.lock().unwrap_or_else(|e| e.into_inner());
-        let mut all: Vec<String> = fs::read_to_string(file)
-            .unwrap_or_default()
-            .lines()
-            .filter(|old| !lines.iter().any(|new| name(new) == name(old)))
-            .map(str::to_owned)
-            .chain(lines.iter().cloned())
-            .collect();
-        let order = every_name();
-        all.sort_by_key(|line| order.iter().position(|n| n == name(line)));
-        fs::create_dir_all(file.parent().expect("snapshot dir")).expect("create snapshot dir");
-        fs::write(file, all.join("\n") + "\n").expect("write snapshot");
-        return;
-    }
-    let expected = fs::read_to_string(file).unwrap_or_else(|_| {
-        panic!("{SNAPSHOT} missing — run CLAP_BLESS=1 cargo test --test validate_verdicts")
-    });
-    for line in lines {
-        let pinned = expected.lines().find(|old| name(old) == name(line));
-        assert_eq!(
-            pinned,
-            Some(line.as_str()),
-            "{SNAPSHOT} drifted; if the change is intended, \
-             regenerate with CLAP_BLESS=1 cargo test --test validate_verdicts"
-        );
-    }
-}
-
 fn workload_lines(workloads: Vec<clap_workloads::Workload>) -> Vec<String> {
     workloads
         .iter()
@@ -190,17 +149,25 @@ fn workload_lines(workloads: Vec<clap_workloads::Workload>) -> Vec<String> {
 
 #[test]
 fn paper_workload_verdicts_are_pinned() {
-    check_snapshot(&workload_lines(clap_workloads::all()));
+    check_snapshot_lines(SNAPSHOT, &workload_lines(clap_workloads::all()), every_name);
 }
 
 #[test]
 fn channel_workload_verdicts_are_pinned() {
-    check_snapshot(&workload_lines(clap_workloads::channels()));
+    check_snapshot_lines(
+        SNAPSHOT,
+        &workload_lines(clap_workloads::channels()),
+        every_name,
+    );
 }
 
 #[test]
 fn lockfree_workload_verdicts_are_pinned() {
-    check_snapshot(&workload_lines(clap_workloads::lockfree()));
+    check_snapshot_lines(
+        SNAPSHOT,
+        &workload_lines(clap_workloads::lockfree()),
+        every_name,
+    );
 }
 
 #[test]
@@ -215,5 +182,5 @@ fn generated_program_verdicts_are_pinned() {
             verdict_line(name, &pipeline, &config)
         })
         .collect();
-    check_snapshot(&lines);
+    check_snapshot_lines(SNAPSHOT, &lines, every_name);
 }

@@ -33,10 +33,8 @@ use clap_vm::{
     AccessEvent, Action, FnScheduler, Lineage, MemModel, Monitor, RandomScheduler, Scheduler,
     SyncEvent, ThreadId, Vm,
 };
-use common::Fnv;
+use common::{bless_lock, blessing, drifted, read_snapshot, write_snapshot, Fnv};
 use std::fs;
-use std::path::Path;
-use std::sync::Mutex;
 
 const SNAPSHOT: &str = "tests/snapshots/vm_equivalence.snap";
 
@@ -281,11 +279,9 @@ fn program_names() -> Vec<String> {
 /// oracle digests can come from different tests, which run concurrently,
 /// so each test owns only the tokens it computed.
 fn check_snapshot(pins: &[(String, Vec<String>)]) {
-    static BLESS: Mutex<()> = Mutex::new(());
-    let path = Path::new(SNAPSHOT);
-    if std::env::var_os("CLAP_BLESS").is_some() {
-        let _guard = BLESS.lock().unwrap_or_else(|e| e.into_inner());
-        let mut lines: Vec<Vec<String>> = fs::read_to_string(path)
+    if blessing() {
+        let _guard = bless_lock();
+        let mut lines: Vec<Vec<String>> = fs::read_to_string(SNAPSHOT)
             .unwrap_or_default()
             .lines()
             .map(|line| line.split(' ').map(str::to_owned).collect())
@@ -310,29 +306,21 @@ fn check_snapshot(pins: &[(String, Vec<String>)]) {
         let order = program_names();
         lines.sort_by_key(|line| order.iter().position(|n| n == &line[0]));
         let text: String = lines.iter().map(|line| line.join(" ") + "\n").collect();
-        fs::create_dir_all(path.parent().expect("snapshot dir")).expect("create snapshot dir");
-        fs::write(path, text).expect("write snapshot");
+        write_snapshot(SNAPSHOT, &text);
         return;
     }
-    let pinned = fs::read_to_string(path).unwrap_or_else(|_| {
-        panic!("{SNAPSHOT} missing — run CLAP_BLESS=1 cargo test --test vm_equivalence")
-    });
+    let pinned = read_snapshot(SNAPSHOT);
     for (name, tokens) in pins {
         let line = pinned
             .lines()
             .find(|line| line.split(' ').next() == Some(name))
-            .unwrap_or_else(|| {
-                panic!(
-                    "{name} has no line in {SNAPSHOT} — run \
-                     CLAP_BLESS=1 cargo test --test vm_equivalence"
-                )
-            });
+            .unwrap_or_else(|| panic!("{name} has no line: {}", drifted(SNAPSHOT)));
         for token in tokens {
             assert!(
                 line.split(' ').any(|pinned| pinned == token),
-                "{name} {}: drifted from the snapshot; if the change is intended, \
-                 regenerate with CLAP_BLESS=1 cargo test --test vm_equivalence",
-                key(token)
+                "{name} {}: {}",
+                key(token),
+                drifted(SNAPSHOT)
             );
         }
     }

@@ -24,10 +24,8 @@ mod common;
 
 use clap_check::{diff_program, enumerate, DiffConfig, OracleConfig, OracleReport, Verdict};
 use clap_workloads::Workload;
-use common::Fnv;
+use common::{check_snapshot_file, Fnv};
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
 use std::time::Duration;
 
 const SNAPSHOT: &str = "tests/snapshots/workload_reports.snap";
@@ -139,18 +137,5 @@ fn check_snapshot() {
             counter("check.oracle.restores"),
         );
     }
-    let path = Path::new(SNAPSHOT);
-    if std::env::var_os("CLAP_BLESS").is_some() {
-        fs::create_dir_all(path.parent().expect("snapshot dir")).expect("create snapshot dir");
-        fs::write(path, &actual).expect("write snapshot");
-        return;
-    }
-    let expected = fs::read_to_string(path).unwrap_or_else(|_| {
-        panic!("{SNAPSHOT} missing — run CLAP_BLESS=1 cargo test --test workload_reports")
-    });
-    assert_eq!(
-        actual, expected,
-        "oracle reports drifted from the snapshot; if the change is intended, \
-         regenerate with CLAP_BLESS=1 cargo test --test workload_reports"
-    );
+    check_snapshot_file(SNAPSHOT, &actual);
 }
