@@ -12,8 +12,7 @@
 //! Determinism matters here: [`ProgramSpec::from_seed`] is a pure function
 //! of the seed, so a failing fuzz case is re-runnable from its seed alone.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use clap_vm::Rng;
 use std::fmt::Write as _;
 
 /// Number of array cells the generated programs declare.
@@ -53,15 +52,15 @@ impl ProgramSpec {
     /// a notify is appended to the first worker so the program cannot
     /// trivially deadlock on a lost signal.
     pub fn from_seed(seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let workers = (0..rng.gen_range(1..4usize))
+        let mut rng = Rng::new(seed);
+        let workers = (0..1 + rng.below(3))
             .map(|_| {
-                (0..rng.gen_range(1..4usize))
-                    .map(|_| match rng.gen_range(0..8usize) {
+                (0..1 + rng.below(3))
+                    .map(|_| match rng.below(8) {
                         0 | 1 => WorkerOp::IncX,
                         2 => WorkerOp::IncY,
                         3 => WorkerOp::LockedIncX,
-                        4 | 5 => WorkerOp::IncCell(rng.gen_range(0..CELLS)),
+                        4 | 5 => WorkerOp::IncCell(rng.below(CELLS)),
                         6 => WorkerOp::NotifyReady,
                         _ => WorkerOp::AwaitReady,
                     })
@@ -196,15 +195,15 @@ impl ChanSpec {
     /// no worker ever receives, a `Recv` is appended to the last worker
     /// so sends have at least one potential partner.
     pub fn from_seed(seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
-        let cap = rng.gen_range(0..4usize);
-        let workers: Vec<Vec<ChanOp>> = (0..rng.gen_range(1..4usize))
+        let mut rng = Rng::new(seed ^ 0xC0FFEE);
+        let cap = rng.below(4);
+        let workers: Vec<Vec<ChanOp>> = (0..1 + rng.below(3))
             .map(|_| {
-                (0..rng.gen_range(1..4usize))
-                    .map(|_| match rng.gen_range(0..8usize) {
-                        0 | 1 => ChanOp::Send(rng.gen_range(1i64..6)),
+                (0..1 + rng.below(3))
+                    .map(|_| match rng.below(8) {
+                        0 | 1 => ChanOp::Send(1 + rng.below(5) as i64),
                         2 | 3 => ChanOp::Recv,
-                        4 => ChanOp::TrySend(rng.gen_range(1i64..6)),
+                        4 => ChanOp::TrySend(1 + rng.below(5) as i64),
                         5 => ChanOp::TryRecv,
                         6 => ChanOp::Close,
                         _ => ChanOp::Recv,
@@ -212,9 +211,9 @@ impl ChanSpec {
                     .collect()
             })
             .collect();
-        let actor_msgs = if rng.gen_range(0..2usize) == 1 {
-            (0..rng.gen_range(1..3usize))
-                .map(|_| rng.gen_range(1i64..6))
+        let actor_msgs = if rng.below(2) == 1 {
+            (0..1 + rng.below(2))
+                .map(|_| 1 + rng.below(5) as i64)
                 .collect()
         } else {
             Vec::new()
@@ -389,15 +388,15 @@ impl AtomicSpec {
     /// Deterministically derives a spec from `seed`: 1–3 workers of 1–3
     /// ops each.
     pub fn from_seed(seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA70311C);
-        let workers = (0..rng.gen_range(1..4usize))
+        let mut rng = Rng::new(seed ^ 0xA70311C);
+        let workers = (0..1 + rng.below(3))
             .map(|_| {
-                (0..rng.gen_range(1..4usize))
-                    .map(|_| match rng.gen_range(0..8usize) {
-                        0 | 1 => AtomicOp::IncP(rng.gen_range(0..4usize), rng.gen_range(0..4usize)),
-                        2 => AtomicOp::FetchAddQ(rng.gen_range(1i64..4), rng.gen_range(0..4usize)),
-                        3 => AtomicOp::CasFlag(rng.gen_range(0..4usize)),
-                        4 | 5 => AtomicOp::Publish(rng.gen_range(0..4usize)),
+                (0..1 + rng.below(3))
+                    .map(|_| match rng.below(8) {
+                        0 | 1 => AtomicOp::IncP(rng.below(4), rng.below(4)),
+                        2 => AtomicOp::FetchAddQ(1 + rng.below(3) as i64, rng.below(4)),
+                        3 => AtomicOp::CasFlag(rng.below(4)),
+                        4 | 5 => AtomicOp::Publish(rng.below(4)),
                         _ => AtomicOp::Consume,
                     })
                     .collect::<Vec<_>>()

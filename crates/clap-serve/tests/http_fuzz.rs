@@ -9,6 +9,7 @@
 //! single allocation the parser made.
 
 use clap_serve::http::{read_request, MAX_BODY};
+use clap_vm::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io;
@@ -78,23 +79,6 @@ fn fuzz_case(input: &[u8]) -> io::Result<clap_serve::http::Request> {
     result
 }
 
-/// SplitMix64: a tiny seeded generator, so every run feeds the same cases.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 const VALID: &[u8] = b"POST /submit HTTP/1.1\r\nHost: x\r\nX-Clap-Trace: ab-12\r\n\
                        Content-Length: 5\r\n\r\nhello";
 
@@ -103,13 +87,13 @@ fn random_bytes_never_panic() {
     // Bytes drawn mostly from the grammar's own alphabet, so heads end
     // and headers split often enough to reach the later parse stages.
     const ALPHABET: &[u8] = b"\r\n\r\n: GETPOST/ Content-Length0123456789-\xff\xc3";
-    let mut rng = Rng(0x5eed);
+    let mut rng = Rng::new(0x5eed);
     for _ in 0..3_000 {
         let len = rng.below(300);
         let input: Vec<u8> = (0..len)
             .map(|_| {
                 if rng.below(4) == 0 {
-                    rng.next() as u8
+                    rng.next_u64() as u8
                 } else {
                     ALPHABET[rng.below(ALPHABET.len())]
                 }
@@ -155,10 +139,10 @@ fn heads_without_method_or_path_or_utf8_are_errors() {
     }
     // A head that opens with a UTF-8 continuation byte is never valid
     // UTF-8, whatever follows it.
-    let mut rng = Rng(0xbad_0df8);
+    let mut rng = Rng::new(0xbad_0df8);
     for _ in 0..500 {
-        let mut head = vec![0x80 | (rng.next() as u8 & 0x3f)];
-        head.extend((0..rng.below(60)).map(|_| rng.next() as u8));
+        let mut head = vec![0x80 | (rng.next_u64() as u8 & 0x3f)];
+        head.extend((0..rng.below(60)).map(|_| rng.next_u64() as u8));
         head.extend_from_slice(b" /x HTTP/1.1\r\n\r\n");
         assert!(fuzz_case(&head).is_err(), "a non-UTF-8 head must not parse");
     }
@@ -189,9 +173,9 @@ fn hostile_content_lengths_are_errors() {
             "Content-Length {value:?} must be rejected"
         );
     }
-    let mut rng = Rng(0xc0ffee);
+    let mut rng = Rng::new(0xc0ffee);
     for _ in 0..500 {
-        let value = MAX_BODY as u64 + 1 + rng.next() % (u64::MAX - MAX_BODY as u64 - 1);
+        let value = MAX_BODY as u64 + 1 + rng.next_u64() % (u64::MAX - MAX_BODY as u64 - 1);
         let head = format!("POST /submit HTTP/1.1\r\ncontent-length: {value}\r\n\r\n");
         assert!(fuzz_case(head.as_bytes()).is_err());
     }

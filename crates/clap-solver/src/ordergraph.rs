@@ -414,42 +414,48 @@ mod tests {
         false
     }
 
-    proptest::proptest! {
-        /// Random sequences of `add_edge`, `mark` and `undo_to` over up to
-        /// 130 nodes; half the cases have over 128, so that a closure row
-        /// spans three words. They start from a base installed with
-        /// `add_edges`, which must leave the graph and its counts as
-        /// `add_edge` one edge at a time does, and must report a cycle
-        /// exactly when one of those calls would. Besides fresh random
-        /// edges they re-add accepted edges (duplicates), add their
-        /// reverses (cycles, rejected) and chain neighbours (long paths).
-        /// After every operation the closure must agree with a DFS over
-        /// the edge lists on every pair, no row may be saved twice in one
-        /// save epoch (none before the first mark), and the graph must
-        /// stay acyclic.
-        #[test]
-        fn random_edge_sets_stay_acyclic(
-            n in proptest::prop_oneof![1u32..131, 129u32..131],
-            base in proptest::collection::vec((0u8..10, 0u32..130, 0u32..130), 0..60),
-            ops in proptest::collection::vec((0u8..10, 0u32..130, 0u32..130), 0..80),
-        ) {
+    /// Random sequences of `add_edge`, `mark` and `undo_to` over up to
+    /// 130 nodes; half the cases have over 128, so that a closure row spans
+    /// three words. They start from a base installed with `add_edges`,
+    /// which must leave the graph and its counts as `add_edge` one edge at
+    /// a time does, and must report a cycle exactly when one of those calls
+    /// would. Besides fresh random edges they re-add accepted edges
+    /// (duplicates), add their reverses (cycles, rejected) and chain
+    /// neighbours (long paths). After every operation the closure must
+    /// agree with a DFS over the edge lists on every pair, no row may be
+    /// saved twice in one save epoch (none before the first mark), and the
+    /// graph must stay acyclic.
+    #[test]
+    fn random_edge_sets_stay_acyclic() {
+        let mut rng =
+            clap_vm::Rng::for_test("clap_solver::ordergraph::tests::random_edge_sets_stay_acyclic");
+        for _ in 0..32 {
+            let n = if rng.below(2) == 0 {
+                1 + rng.below(130)
+            } else {
+                129 + rng.below(2)
+            };
             // Mostly forward edges, so that most bases are acyclic.
-            let base: Vec<(u32, u32)> = base
-                .into_iter()
-                .map(|(kind, x, y)| match (kind, x % n, y % n) {
-                    (0, x, y) => (x, y),
-                    (_, x, y) => (x.min(y), x.max(y)),
+            let base: Vec<(u32, u32)> = (0..rng.below(60))
+                .map(|_| {
+                    let (x, y) = (rng.below(n) as u32, rng.below(n) as u32);
+                    if rng.below(10) == 0 {
+                        (x, y)
+                    } else {
+                        (x.min(y), x.max(y))
+                    }
                 })
                 .collect();
+            let n = n as u32;
             let mut g = OrderGraph::new(n as usize);
             let mut one_by_one = OrderGraph::new(n as usize);
             let acyclic = base.iter().all(|&(a, b)| one_by_one.add_edge(a, b));
-            proptest::prop_assert_eq!(g.add_edges(base.iter().copied()), acyclic);
+            assert_eq!(g.add_edges(base.iter().copied()), acyclic);
             if acyclic {
-                proptest::prop_assert_eq!(&g.succ, &one_by_one.succ);
-                proptest::prop_assert_eq!(&g.reach, &one_by_one.reach);
-                proptest::prop_assert_eq!(g.query_count(), one_by_one.query_count());
-                proptest::prop_assert_eq!(g.edge_count(), one_by_one.edge_count());
+                assert_eq!(&g.succ, &one_by_one.succ);
+                assert_eq!(&g.reach, &one_by_one.reach);
+                assert_eq!(g.query_count(), one_by_one.query_count());
+                assert_eq!(g.edge_count(), one_by_one.edge_count());
             } else {
                 g = OrderGraph::new(n as usize);
             }
@@ -459,7 +465,9 @@ mod tests {
             let mut marks: Vec<(usize, usize)> = Vec::new();
             // Where the current save epoch's rows start in `saved_rows`.
             let mut epoch_start = 0;
-            for (kind, x, y) in ops {
+            for _ in 0..rng.below(80) {
+                let kind = rng.below(10);
+                let (x, y) = (rng.below(130) as u32, rng.below(130) as u32);
                 let last = accepted.last().copied();
                 let edge = match kind {
                     0..=3 => Some((x % n, y % n)),
@@ -472,11 +480,11 @@ mod tests {
                     let expect = !dfs_reaches(&g, b, a);
                     let duplicate = g.succ[a as usize].contains(&b);
                     let len = g.trail.len();
-                    proptest::prop_assert_eq!(g.add_edge(a, b), expect);
+                    assert_eq!(g.add_edge(a, b), expect);
                     if expect && !duplicate {
                         accepted.push((a, b));
                     } else {
-                        proptest::prop_assert_eq!(g.trail.len(), len);
+                        assert_eq!(g.trail.len(), len);
                     }
                 } else if kind == 7 || marks.is_empty() {
                     marks.push((g.mark(), accepted.len()));
@@ -487,19 +495,19 @@ mod tests {
                     marks.truncate(keep + 1);
                     g.undo_to(mark);
                     accepted.truncate(len);
-                    proptest::prop_assert_eq!(g.trail.len(), mark);
+                    assert_eq!(g.trail.len(), mark);
                     epoch_start = g.saved_rows.len();
                 }
                 if marks.is_empty() {
-                    proptest::prop_assert!(g.saved_rows.is_empty());
+                    assert!(g.saved_rows.is_empty());
                 }
                 let mut fresh = g.saved_rows[epoch_start..].to_vec();
                 fresh.sort_unstable();
                 fresh.dedup();
-                proptest::prop_assert_eq!(fresh.len(), g.saved_rows.len() - epoch_start);
+                assert_eq!(fresh.len(), g.saved_rows.len() - epoch_start);
                 for a in 0..n {
                     for b in 0..n {
-                        proptest::prop_assert_eq!(g.reaches(a, b), dfs_reaches(&g, a, b));
+                        assert_eq!(g.reaches(a, b), dfs_reaches(&g, a, b));
                     }
                 }
             }
@@ -509,7 +517,7 @@ mod tests {
                 pos[x as usize] = i;
             }
             for (a, b) in accepted {
-                proptest::prop_assert!(pos[a as usize] < pos[b as usize]);
+                assert!(pos[a as usize] < pos[b as usize]);
             }
         }
     }

@@ -484,38 +484,35 @@ mod tests {
         BinOp::Shr,
     ];
 
-    proptest::proptest! {
-        /// Random `Unary`/`Binary`/`Ite` DAGs over four symbolic variables
-        /// under random partial assignments: `eval` agrees with the
-        /// reference on every node, `None` included, evaluated in an
-        /// order that revisits shared subterms across calls.
-        #[test]
-        fn eval_matches_a_recursive_reference(
-            assigned in proptest::collection::vec((0u8..3, -4i64..5), 4..5),
-            nodes in proptest::collection::vec(
-                (0u8..4, 0usize..64, 0usize..64, 0usize..64, 0usize..18),
-                1..40,
-            ),
-        ) {
-            // A variable is unassigned one time in three.
-            let assignment: Vec<Option<i64>> =
-                assigned.iter().map(|&(on, v)| (on != 0).then_some(v)).collect();
+    /// Random `Unary`/`Binary`/`Ite` DAGs over four symbolic variables
+    /// under random partial assignments: `eval` agrees with the reference
+    /// on every node, `None` included, evaluated in an order that revisits
+    /// shared subterms across calls.
+    #[test]
+    fn eval_matches_a_recursive_reference() {
+        let mut rng =
+            clap_vm::Rng::for_test("clap_symex::expr::tests::eval_matches_a_recursive_reference");
+        for _ in 0..32 {
+            // A variable is unassigned one time in three, else in -4..=4.
+            let assignment: Vec<Option<i64>> = (0..4)
+                .map(|_| (rng.below(3) != 0).then(|| rng.below(9) as i64 - 4))
+                .collect();
             let mut a = ExprArena::new();
             let mut pool: Vec<ExprId> = (0..4).map(|v| a.sym(SymVarId(v))).collect();
             pool.extend([0, 1, 7].map(|c| a.constant(c)));
-            for (kind, x, y, z, op) in nodes {
-                let pick = |i: usize| pool[i % pool.len()];
-                let (x, y, z) = (pick(x), pick(y), pick(z));
-                let node = match kind {
-                    0 => a.unary(if op % 2 == 0 { UnOp::Neg } else { UnOp::Not }, x),
-                    1 | 2 => a.binary(BINOPS[op], x, y),
+            for _ in 0..1 + rng.below(39) {
+                let mut pick = || pool[rng.below(pool.len())];
+                let (x, y, z) = (pick(), pick(), pick());
+                let node = match rng.below(4) {
+                    0 => a.unary([UnOp::Neg, UnOp::Not][rng.below(2)], x),
+                    1 | 2 => a.binary(BINOPS[rng.below(BINOPS.len())], x, y),
                     _ => a.ite(x, y, z),
                 };
                 pool.push(node);
             }
             for &id in pool.iter().rev().chain(&pool) {
                 let got = a.eval(id, &|v: SymVarId| assignment[v.index()]);
-                proptest::prop_assert_eq!(got, reference_eval(&a, id, &assignment));
+                assert_eq!(got, reference_eval(&a, id, &assignment));
             }
         }
     }

@@ -32,6 +32,7 @@ pub mod bytecode;
 pub mod compile;
 pub mod mem;
 pub mod monitor;
+pub mod rng;
 pub mod sched;
 pub mod stats;
 pub mod thread;
@@ -40,6 +41,7 @@ pub mod vm;
 pub use bytecode::{CompiledProgram, Op};
 pub use mem::{Addr, Layout, MemModel, Memory, StoreBuffer};
 pub use monitor::{AccessEvent, CountingMonitor, Monitor, MultiMonitor, NullMonitor, SyncEvent};
+pub use rng::Rng;
 pub use sched::{Action, FifoScheduler, FnScheduler, RandomScheduler, Scheduler, ScriptScheduler};
 pub use stats::ExecStats;
 pub use thread::{Frame, Lineage, Status, Thread, ThreadId};

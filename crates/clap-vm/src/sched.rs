@@ -8,10 +8,9 @@
 //! during replay.
 
 use crate::mem::Addr;
+use crate::rng::Rng;
 use crate::thread::ThreadId;
 use crate::vm::Vm;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// One schedulable step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +46,7 @@ pub trait Scheduler {
 /// paper's manually inserted timing delays.
 #[derive(Debug)]
 pub struct RandomScheduler {
-    rng: StdRng,
+    rng: Rng,
     stickiness: f64,
     last: Option<ThreadId>,
 }
@@ -69,7 +68,7 @@ impl RandomScheduler {
             "stickiness must be in [0, 1]"
         );
         RandomScheduler {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::new(seed),
             stickiness,
             last: None,
         }
@@ -80,7 +79,7 @@ impl Scheduler for RandomScheduler {
     fn pick(&mut self, _vm: &Vm<'_>, actions: &[Action]) -> usize {
         debug_assert!(!actions.is_empty());
         if let Some(last) = self.last {
-            if self.rng.gen_bool(self.stickiness) {
+            if self.rng.chance(self.stickiness) {
                 if let Some(i) = actions
                     .iter()
                     .position(|a| matches!(a, Action::Step(t) if *t == last))
@@ -89,7 +88,7 @@ impl Scheduler for RandomScheduler {
                 }
             }
         }
-        let i = self.rng.gen_range(0..actions.len());
+        let i = self.rng.below(actions.len());
         self.last = Some(actions[i].thread());
         i
     }
