@@ -102,13 +102,13 @@ pub fn count(system: &ConstraintSystem<'_>) -> ConstraintStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::tests::build_failure;
     use crate::system::ConstraintSystem;
+    use clap_symex::failing_trace;
     use clap_vm::MemModel;
 
     #[test]
     fn counts_scale_with_trace() {
-        let small = build_failure(
+        let small = failing_trace(
             "global int x = 0;
              fn w() { let v: int = x; yield; x = v + 1; }
              fn main() { let a: thread = fork w(); let b: thread = fork w();
@@ -116,7 +116,7 @@ mod tests {
             MemModel::Sc,
             500,
         );
-        let big = build_failure(
+        let big = failing_trace(
             "global int x = 0;
              fn w() { let i: int = 0; while (i < 5) { let v: int = x; yield; x = v + 1; i = i + 1; } }
              fn main() { let a: thread = fork w(); let b: thread = fork w();
@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn lock_clauses_follow_formula() {
-        let (p, t) = build_failure(
+        let (p, t, _) = failing_trace(
             "global int x = 0; mutex m;
              fn w() { lock(m); let v: int = x; yield; x = v + 1; unlock(m); }
              fn main() { let a: thread = fork w(); let b: thread = fork w();

@@ -700,7 +700,7 @@ impl<'a> Walk<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::tests::build_failure;
+    use clap_symex::failing_trace;
     use clap_vm::MemModel;
 
     const LOST_UPDATE: &str = "global int x = 0;
@@ -763,7 +763,7 @@ mod tests {
 
     #[test]
     fn lost_update_has_valid_and_invalid_schedules() {
-        let (program, trace) = build_failure(LOST_UPDATE, MemModel::Sc, 500);
+        let (program, trace, _) = failing_trace(LOST_UPDATE, MemModel::Sc, 500);
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let (total, good) = all_valid_schedules(&program, &sys);
         assert!(total > 0);
@@ -789,7 +789,7 @@ mod tests {
         // previous test); here we check hard-edge respect of a natural
         // sequential order: all of main's pre-fork SAPs, thread 1, thread
         // 2, main's tail.
-        let (program, trace) = build_failure(LOST_UPDATE, MemModel::Sc, 500);
+        let (program, trace, _) = failing_trace(LOST_UPDATE, MemModel::Sc, 500);
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let (_, good) = all_valid_schedules(&program, &sys);
         // A "serial" schedule (t1 fully, then t2 fully) cannot reproduce a
@@ -818,11 +818,11 @@ mod tests {
              fn main() { let a: thread = fork w(); let b: thread = fork w();
                          join a; join b; let v: int = x; assert(v == 2, \"never\"); }";
         // This assertion cannot fail under locking… but we can still build
-        // the system from a *passing* run? No: build_failure needs a
+        // the system from a *passing* run? No: failing_trace needs a
         // failure. Instead craft: critical sections overlap in a candidate
         // schedule must be rejected. Use an assert that fails spuriously.
         let src_fail = src.replace("v == 2", "v == 3");
-        let (program, trace) = build_failure(&src_fail, MemModel::Sc, 500);
+        let (program, trace, _) = failing_trace(&src_fail, MemModel::Sc, 500);
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let (_, good) = all_valid_schedules(&program, &sys);
         // All valid schedules keep the two critical sections disjoint.
@@ -840,7 +840,7 @@ mod tests {
 
     #[test]
     fn schedule_context_switch_metric() {
-        let (program, trace) = build_failure(LOST_UPDATE, MemModel::Sc, 500);
+        let (program, trace, _) = failing_trace(LOST_UPDATE, MemModel::Sc, 500);
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let (_, good) = all_valid_schedules(&program, &sys);
         let min_cs = good

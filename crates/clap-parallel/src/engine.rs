@@ -226,8 +226,8 @@ pub fn worst_case_schedules_log10(system: &ConstraintSystem<'_>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::build_failure;
     use clap_constraints::validate;
+    use clap_symex::failing_trace;
     use clap_vm::MemModel;
 
     /// The search spelled out: rungs in order, CSP sets in order, each
@@ -275,7 +275,7 @@ mod tests {
         max_seed: u64,
         rungs: &[(usize, usize)],
     ) {
-        let (program, trace) = build_failure(src, model, max_seed);
+        let (program, trace, _) = failing_trace(src, model, max_seed);
         let system = ConstraintSystem::build(&program, &trace, model);
         for &(min_cs, max_cs) in rungs {
             let config = ParallelConfig {

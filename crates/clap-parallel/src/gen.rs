@@ -491,8 +491,8 @@ pub fn for_each_csp_set(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::build_failure;
     use clap_constraints::{validate, ConstraintSystem, Schedule};
+    use clap_symex::failing_trace;
     use clap_vm::MemModel;
 
     const LOST_UPDATE: &str = "global int x = 0;
@@ -502,7 +502,7 @@ mod tests {
 
     #[test]
     fn zero_csp_schedules_respect_hard_edges() {
-        let (program, trace) = build_failure(LOST_UPDATE, MemModel::Sc, 500);
+        let (program, trace, _) = failing_trace(LOST_UPDATE, MemModel::Sc, 500);
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let mut gen = Generator::new(&program, &sys, 0);
         let mut all = Vec::new();
@@ -522,7 +522,7 @@ mod tests {
 
     #[test]
     fn one_preemption_reproduces_lost_update() {
-        let (program, trace) = build_failure(LOST_UPDATE, MemModel::Sc, 500);
+        let (program, trace, _) = failing_trace(LOST_UPDATE, MemModel::Sc, 500);
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let mut found = None;
         for_each_csp_set(&sys, 1, 0, &mut |set| {
@@ -545,7 +545,7 @@ mod tests {
 
     #[test]
     fn csp_sets_have_distinct_points() {
-        let (program, trace) = build_failure(LOST_UPDATE, MemModel::Sc, 500);
+        let (program, trace, _) = failing_trace(LOST_UPDATE, MemModel::Sc, 500);
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let mut seen = 0u64;
         for_each_csp_set(&sys, 2, 500, &mut |set| {
@@ -594,7 +594,7 @@ mod tests {
                          let x: int = a[1];
                          if (x == 1) { assert(x == 0, \"saw the store\"); }
                          join t; join u; }";
-        let (program, trace) = build_failure(src, MemModel::Sc, 2000);
+        let (program, trace, _) = failing_trace(src, MemModel::Sc, 2000);
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let pruned = accepted(&program, &sys, true);
         assert!(!pruned.is_empty(), "the failure reproduces");
@@ -603,7 +603,7 @@ mod tests {
 
     #[test]
     fn generator_budget_stops_enumeration() {
-        let (program, trace) = build_failure(LOST_UPDATE, MemModel::Sc, 500);
+        let (program, trace, _) = failing_trace(LOST_UPDATE, MemModel::Sc, 500);
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let mut gen = Generator::new(&program, &sys, 2);
         let mut n = 0;

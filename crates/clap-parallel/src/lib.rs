@@ -19,55 +19,16 @@ pub use engine::{
 };
 pub use gen::{csp_universe, for_each_csp_set, preemption_point_count, Csp, Generator};
 
-#[cfg(any(test, feature = "testutil"))]
-pub mod testutil {
-    //! Shared helper for tests: record a failing run and build its trace.
-    use clap_analysis::analyze;
-    use clap_ir::parse;
-    use clap_profile::{decode_log, BlTables, PathRecorder};
-    use clap_symex::{execute, FailureContext, SymTrace};
-    use clap_vm::{MemModel, Outcome, RandomScheduler, Vm};
-
-    /// Runs seeds until the program's assert fails, then produces the
-    /// symbolic trace of that failing execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no seed below `max_seed` fails.
-    pub fn build_failure(
-        src: &str,
-        model: MemModel,
-        max_seed: u64,
-    ) -> (clap_ir::Program, SymTrace) {
-        let program = parse(src).unwrap();
-        let sharing = analyze(&program);
-        let tables = BlTables::build(&program);
-        let mut vm = Vm::with_shared(&program, model, sharing.shared_spec());
-        for seed in 0..max_seed {
-            vm.reset();
-            let mut rec = PathRecorder::new(&tables);
-            let outcome = vm.run(&mut RandomScheduler::new(seed), &mut rec);
-            if let Outcome::AssertFailed { .. } = outcome {
-                let failure = FailureContext::from_vm(&vm);
-                let paths = decode_log(&program, &tables, &rec.finish()).unwrap();
-                let trace = execute(&program, &sharing.shared_spec(), &paths, &failure).unwrap();
-                return (program, trace);
-            }
-        }
-        panic!("no failing seed in 0..{max_seed}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::build_failure;
     use clap_constraints::{validate, ConstraintSystem};
+    use clap_symex::failing_trace;
     use clap_vm::MemModel;
 
     #[test]
     fn parallel_finds_minimal_cs_lost_update() {
-        let (program, trace) = build_failure(
+        let (program, trace, _) = failing_trace(
             "global int x = 0;
              fn w() { let v: int = x; yield; x = v + 1; }
              fn main() { let a: thread = fork w(); let b: thread = fork w();
@@ -94,7 +55,7 @@ mod tests {
 
     #[test]
     fn parallel_handles_pso_reordering() {
-        let (program, trace) = build_failure(
+        let (program, trace, _) = failing_trace(
             "global int data = 0; global int flag = 0; global int seen = -1;
              fn writer() { data = 1; flag = 1; }
              fn reader() { let f: int = flag; if (f == 1) { seen = data; } }
@@ -125,7 +86,7 @@ mod tests {
 
     #[test]
     fn exhausts_when_no_schedule_reproduces() {
-        let (program, mut trace) = build_failure(
+        let (program, mut trace, _) = failing_trace(
             "global int x = 0;
              fn w() { let v: int = x; yield; x = v + 1; }
              fn main() { let a: thread = fork w(); let b: thread = fork w();
@@ -172,7 +133,7 @@ mod tests {
             ),
         ];
         for (src, model) in programs {
-            let (program, trace) = build_failure(src, model, 3000);
+            let (program, trace, _) = failing_trace(src, model, 3000);
             let sys = ConstraintSystem::build(&program, &trace, model);
             let seq = clap_solver::solve(&program, &sys, clap_solver::SolverConfig::default());
             let par = solve_parallel(&program, &sys, ParallelConfig::default());
@@ -183,7 +144,7 @@ mod tests {
 
     #[test]
     fn worst_case_count_is_astronomical() {
-        let (program, trace) = build_failure(
+        let (program, trace, _) = failing_trace(
             "global int x = 0;
              fn w() { let i: int = 0; while (i < 4) { let v: int = x; yield; x = v + 1; i = i + 1; } }
              fn main() { let a: thread = fork w(); let b: thread = fork w();

@@ -18,34 +18,12 @@ pub use solver::{solve, Solution, SolveOutcome, SolveStats, SolverConfig, MAX_SA
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clap_analysis::analyze;
     use clap_constraints::{validate, ConstraintSystem};
-    use clap_ir::parse;
-    use clap_profile::{decode_log, BlTables, PathRecorder};
-    use clap_symex::{execute, FailureContext, SymTrace};
-    use clap_vm::{MemModel, Outcome, RandomScheduler, Vm};
-
-    fn build_failure(src: &str, model: MemModel, max_seed: u64) -> (clap_ir::Program, SymTrace) {
-        let program = parse(src).unwrap();
-        let sharing = analyze(&program);
-        let tables = BlTables::build(&program);
-        let mut vm = Vm::with_shared(&program, model, sharing.shared_spec());
-        for seed in 0..max_seed {
-            vm.reset();
-            let mut rec = PathRecorder::new(&tables);
-            let outcome = vm.run(&mut RandomScheduler::new(seed), &mut rec);
-            if let Outcome::AssertFailed { .. } = outcome {
-                let failure = FailureContext::from_vm(&vm);
-                let paths = decode_log(&program, &tables, &rec.finish()).unwrap();
-                let trace = execute(&program, &sharing.shared_spec(), &paths, &failure).unwrap();
-                return (program, trace);
-            }
-        }
-        panic!("no failing seed in 0..{max_seed}");
-    }
+    use clap_symex::failing_trace;
+    use clap_vm::MemModel;
 
     fn solve_failure(src: &str, model: MemModel, max_seed: u64) {
-        let (program, trace) = build_failure(src, model, max_seed);
+        let (program, trace, _) = failing_trace(src, model, max_seed);
         let sys = ConstraintSystem::build(&program, &trace, model);
         let outcome = solve(&program, &sys, SolverConfig::default());
         let solution = outcome
@@ -142,7 +120,7 @@ mod tests {
         // Take a genuine failing trace, then replace its bug predicate
         // with an unsatisfiable one: the solver must prove UNSAT rather
         // than hand back some schedule.
-        let (program, mut trace) = build_failure(
+        let (program, mut trace, _) = failing_trace(
             "global int x = 0;
              fn w() { let v: int = x; yield; x = v + 1; }
              fn main() { let a: thread = fork w(); let b: thread = fork w();
@@ -183,7 +161,7 @@ mod tests {
         // clap-constraints), so an Unsat result on a trace with channel
         // ops is a budget statement, not a proof: the valve must report
         // Timeout instead of certifying Unsat.
-        let (program, mut trace) = build_failure(CHAN_LOST_CLOSE, MemModel::Sc, 2000);
+        let (program, mut trace, _) = failing_trace(CHAN_LOST_CLOSE, MemModel::Sc, 2000);
         trace.bug = trace.arena.constant(0);
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
         let outcome = solve(&program, &sys, SolverConfig::default());
@@ -228,7 +206,7 @@ mod tests {
 
     #[test]
     fn solver_reports_small_context_switch_schedules() {
-        let (program, trace) = build_failure(
+        let (program, trace, _) = failing_trace(
             "global int x = 0;
              fn w() { let v: int = x; yield; x = v + 1; }
              fn main() { let a: thread = fork w(); let b: thread = fork w();
@@ -248,7 +226,7 @@ mod tests {
 
     #[test]
     fn decision_budget_times_out() {
-        let (program, trace) = build_failure(
+        let (program, trace, _) = failing_trace(
             "global int x = 0;
              fn w() { let i: int = 0; while (i < 6) { let v: int = x; yield; x = v + 1; i = i + 1; } }
              fn main() { let a: thread = fork w(); let b: thread = fork w();
