@@ -339,7 +339,7 @@ fn check_model(
                 model,
                 pipeline.sharing().shared_spec(),
             );
-            if !is_member(vm, &fp, pconfig.step_limit) {
+            if !is_member(vm, &fp, clap_core::STEP_LIMIT) {
                 Verdict::UnsoundSchedule {
                     letters: fp.letters(),
                 }

@@ -206,7 +206,7 @@ pub(crate) fn record_failure(
         config.model,
         pipeline.sharing.shared_spec(),
     );
-    vm.set_step_limit(config.step_limit);
+    vm.set_step_limit(crate::STEP_LIMIT);
     for &stickiness in &config.stickiness {
         let (work, best) = sweep_level(config, &mut vm, stickiness);
         clap_obs::add("explore.levels", 1);

@@ -63,6 +63,10 @@ pub enum SolverChoice {
     Auto(AutoConfig),
 }
 
+/// The step fuse of every record-sweep run; the differential check's
+/// membership search uses it too.
+pub const STEP_LIMIT: u64 = 2_000_000;
+
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -72,8 +76,6 @@ pub struct PipelineConfig {
     pub seed_budget: u64,
     /// Random-scheduler stickiness values to sweep.
     pub stickiness: Vec<f64>,
-    /// Step limit per exploration run.
-    pub step_limit: u64,
     /// The offline solver.
     pub solver: SolverChoice,
     /// Also record the global synchronization order (§6.4 variant): pays
@@ -100,7 +102,6 @@ impl PipelineConfig {
             model,
             seed_budget: 20_000,
             stickiness: vec![0.9, 0.7, 0.5, 0.3],
-            step_limit: 2_000_000,
             solver: SolverChoice::Sequential(SolverConfig::default()),
             record_sync_order: false,
             explore_workers: 0,
@@ -774,7 +775,7 @@ mod tests {
             config.model,
             pipeline.sharing().shared_spec(),
         );
-        vm.set_step_limit(config.step_limit);
+        vm.set_step_limit(STEP_LIMIT);
         let mut recorder = PathRecorder::new(&pipeline.tables);
         let mut sync = SyncOrderRecorder::new();
         let mut sched = RandomScheduler::with_stickiness(recorded.seed, recorded.stickiness);
