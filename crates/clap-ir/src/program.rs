@@ -341,11 +341,6 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// `true` if this instruction touches a global variable.
-    pub fn is_memory_access(&self) -> bool {
-        matches!(self, Instr::Load { .. } | Instr::Store { .. })
-    }
-
     /// `true` if this instruction is a C11-style atomic operation.
     pub fn is_atomic(&self) -> bool {
         matches!(
@@ -459,17 +454,6 @@ impl Function {
     /// Number of conditional branches.
     pub fn branch_count(&self) -> usize {
         self.blocks.iter().filter(|b| b.term.is_branch()).count()
-    }
-
-    /// Predecessor lists indexed by block.
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for (i, b) in self.blocks.iter().enumerate() {
-            for succ in b.term.successors() {
-                preds[succ.index()].push(BlockId::from(i));
-            }
-        }
-        preds
     }
 }
 
@@ -607,12 +591,6 @@ mod tests {
     #[test]
     fn instr_classification() {
         assert!(Instr::Lock(MutexId(0)).is_sync());
-        assert!(Instr::Load {
-            dst: LocalId(0),
-            global: GlobalId(0),
-            index: None
-        }
-        .is_memory_access());
         assert!(!Instr::Yield.is_sync());
     }
 
@@ -657,36 +635,5 @@ mod tests {
             .cells(),
             9
         );
-    }
-
-    #[test]
-    fn predecessors_computed() {
-        let f = Function {
-            name: "f".into(),
-            param_count: 0,
-            locals: vec![],
-            blocks: vec![
-                Block {
-                    instrs: vec![],
-                    term: Terminator::Branch {
-                        cond: Operand::Const(1),
-                        then_bb: BlockId(1),
-                        else_bb: BlockId(2),
-                    },
-                },
-                Block {
-                    instrs: vec![],
-                    term: Terminator::Goto(BlockId(2)),
-                },
-                Block {
-                    instrs: vec![],
-                    term: Terminator::Return(None),
-                },
-            ],
-            entry: BlockId(0),
-        };
-        let preds = f.predecessors();
-        assert_eq!(preds[2], vec![BlockId(0), BlockId(1)]);
-        assert_eq!(f.branch_count(), 1);
     }
 }

@@ -93,10 +93,8 @@ const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
 /// each power-of-two octave is split into [`SUB_BUCKETS`](SUB_BUCKET_BITS)
 /// equal-width sub-buckets, so every quantile is reported as a bucket
 /// upper bound within 6.25% of the true sample. Buckets are stored
-/// sparsely as sorted `(upper_inclusive, count)` pairs: snapshots carry
-/// their bounds, serialize losslessly, and [`merge`](Histogram::merge)
-/// exactly across workers or service windows (merge is associative and
-/// commutative — the bucket grid is fixed, so merging never re-buckets).
+/// sparsely as sorted `(upper_inclusive, count)` pairs, so snapshots
+/// carry their bounds and serialize losslessly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
@@ -145,54 +143,6 @@ impl Histogram {
             Ok(i) => self.buckets[i].1 += 1,
             Err(i) => self.buckets.insert(i, (upper, 1)),
         }
-    }
-
-    /// Folds another histogram into this one. Because both sides share
-    /// the fixed bucket grid, the merge is exact: the result is
-    /// indistinguishable from having recorded every sample into one
-    /// histogram (up to the saturating `sum`).
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(ua, ca)), Some(&&(ub, cb))) => match ua.cmp(&ub) {
-                    std::cmp::Ordering::Less => {
-                        merged.push((ua, ca));
-                        a.next();
-                    }
-                    std::cmp::Ordering::Greater => {
-                        merged.push((ub, cb));
-                        b.next();
-                    }
-                    std::cmp::Ordering::Equal => {
-                        merged.push((ua, ca + cb));
-                        a.next();
-                        b.next();
-                    }
-                },
-                (Some(&&x), None) => {
-                    merged.push(x);
-                    a.next();
-                }
-                (None, Some(&&x)) => {
-                    merged.push(x);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.buckets = merged;
     }
 
     /// Samples recorded.
@@ -469,7 +419,7 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, i64>,
-    /// Full mergeable histograms by name (bucket bounds included).
+    /// Full histograms by name (bucket bounds included).
     pub hists: BTreeMap<String, Histogram>,
     /// Instant events in recording order.
     pub events: Vec<EventRecord>,
@@ -936,41 +886,6 @@ mod tests {
         }
         assert_in_bucket(h.p50(), 100); // 300th of 600 samples
         assert_in_bucket(h.p90(), 100_000);
-    }
-
-    #[test]
-    fn merge_is_associative_and_matches_single_recording() {
-        let samples: Vec<u64> = (0..3_000u64)
-            .map(|i| (i * 2_654_435_761) % 1_000_000)
-            .collect();
-        let mut whole = Histogram::new();
-        for &v in &samples {
-            whole.record(v);
-        }
-        let thirds: Vec<Histogram> = samples
-            .chunks(1_000)
-            .map(|c| {
-                let mut h = Histogram::new();
-                for &v in c {
-                    h.record(v);
-                }
-                h
-            })
-            .collect();
-        // (a ⊕ b) ⊕ c
-        let mut left = thirds[0].clone();
-        left.merge(&thirds[1]);
-        left.merge(&thirds[2]);
-        // a ⊕ (b ⊕ c)
-        let mut bc = thirds[1].clone();
-        bc.merge(&thirds[2]);
-        let mut right = thirds[0].clone();
-        right.merge(&bc);
-        assert_eq!(left, right, "merge must be associative");
-        assert_eq!(left, whole, "merged shards must equal one-shot recording");
-        let mut empty = Histogram::new();
-        empty.merge(&whole);
-        assert_eq!(empty, whole, "empty is a merge identity");
     }
 
     #[test]

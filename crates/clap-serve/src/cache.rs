@@ -21,8 +21,6 @@ use std::sync::Arc;
 pub struct ResultCache {
     entries: HashMap<String, Arc<String>>,
     journal: Option<PathBuf>,
-    hits: u64,
-    misses: u64,
 }
 
 impl ResultCache {
@@ -31,8 +29,6 @@ impl ResultCache {
         ResultCache {
             entries: HashMap::new(),
             journal: None,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -51,8 +47,6 @@ impl ResultCache {
         let mut cache = ResultCache {
             entries: HashMap::new(),
             journal: Some(journal.clone()),
-            hits: 0,
-            misses: 0,
         };
         match File::open(&journal) {
             Ok(file) => cache.replay(BufReader::new(file))?,
@@ -90,10 +84,9 @@ impl ResultCache {
     /// a `None` is **not** automatically a miss — the caller records one
     /// with [`Self::record_miss`] only when the lookup leads to a fresh
     /// solve (a coalesced submission is neither a hit nor a miss).
-    pub fn get(&mut self, key: &str) -> Option<Arc<String>> {
+    pub fn get(&self, key: &str) -> Option<Arc<String>> {
         let report = self.entries.get(key).map(Arc::clone);
         if report.is_some() {
-            self.hits += 1;
             clap_obs::add("serve.cache.hit", 1);
         }
         report
@@ -101,12 +94,12 @@ impl ResultCache {
 
     /// Accounts one miss (`serve.cache.miss`): a submission that will
     /// run its own pipeline.
-    pub fn record_miss(&mut self) {
-        self.misses += 1;
+    pub fn record_miss(&self) {
         clap_obs::add("serve.cache.miss", 1);
     }
 
-    /// Peeks without touching accounting (used by tests and `/metrics`).
+    /// Looks up a fingerprint without counting a hit (used by tests and
+    /// `/metrics`).
     pub fn peek(&self, key: &str) -> Option<Arc<String>> {
         self.entries.get(key).cloned()
     }
@@ -131,11 +124,6 @@ impl ResultCache {
     /// `true` when no entry is cached.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// `(hits, misses)` since this process opened the cache.
-    pub fn accounting(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 }
 

@@ -17,46 +17,3 @@ pub struct ExecStats {
     /// Store-buffer drains performed.
     pub drains: u64,
 }
-
-impl ExecStats {
-    /// Merges another run's counters into this one (for averaging loops).
-    pub fn accumulate(&mut self, other: &ExecStats) {
-        self.instructions += other.instructions;
-        self.branches += other.branches;
-        self.saps += other.saps;
-        self.threads += other.threads;
-        self.steps += other.steps;
-        self.drains += other.drains;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accumulate_sums_fields() {
-        let mut a = ExecStats {
-            instructions: 1,
-            branches: 2,
-            saps: 3,
-            threads: 1,
-            steps: 4,
-            drains: 0,
-        };
-        let b = ExecStats {
-            instructions: 10,
-            branches: 20,
-            saps: 30,
-            threads: 2,
-            steps: 40,
-            drains: 5,
-        };
-        a.accumulate(&b);
-        assert_eq!(a.instructions, 11);
-        assert_eq!(a.branches, 22);
-        assert_eq!(a.saps, 33);
-        assert_eq!(a.threads, 3);
-        assert_eq!(a.drains, 5);
-    }
-}
